@@ -51,7 +51,6 @@ func main() {
 	groupMap := flag.String("group-map", "", "comma-separated shard index per group (empty = rendezvous-hash assignment)")
 	conns := flag.Int("conns", 2, "pooled connections per shard")
 	window := flag.Int("window", 32, "in-flight frame window per shard connection")
-	feWindow := flag.Int("frontend-window", 32, "in-flight frame window per client connection")
 	healthEvery := flag.Duration("health-every", 2*time.Second, "shard health-probe period")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	flag.Parse()
@@ -60,14 +59,13 @@ func main() {
 		fatal(fmt.Errorf("-shards is required"))
 	}
 	cfg := memrouter.Config{
-		Shards:         splitList(*shards),
-		ShardControl:   splitList(*shardCtl),
-		Lines:          *lines,
-		Groups:         *groups,
-		Conns:          *conns,
-		Window:         *window,
-		FrontendWindow: *feWindow,
-		HealthEvery:    *healthEvery,
+		Shards:       splitList(*shards),
+		ShardControl: splitList(*shardCtl),
+		Lines:        *lines,
+		Groups:       *groups,
+		Conns:        *conns,
+		Window:       *window,
+		HealthEvery:  *healthEvery,
 	}
 	if *groupMap != "" {
 		for _, f := range splitList(*groupMap) {

@@ -159,8 +159,8 @@ func (r *Router) renderMetrics(b *strings.Builder) {
 		draining = 1
 	}
 	gauge("draining", "1 while the router drains, else 0.", draining)
-	counter("frames_total", "Client frames processed.", r.frames.Load())
-	counter("reject_total", "Client frames rejected before routing (malformed, version-skewed, oversized, bad op, draining).", r.rejects.Load())
+	counter("frames_total", "Client frames processed.", r.fe.Frames())
+	counter("reject_total", "Client frames rejected before routing (malformed, version-skewed, oversized, bad op, draining).", r.fe.Rejects())
 	counter("nack_total", "Client frames answered with aggregated backpressure.", r.nacks.Load())
 	counter("line_ops_total", "Line ops routed to shards.", r.lineOps.Load())
 	counter("read_batch_ops_total", "Of the routed ops, reads on streaming read-batch frames.", r.readOps.Load())

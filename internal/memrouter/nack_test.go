@@ -10,7 +10,7 @@ import (
 	"securityrbsg/internal/memserver"
 )
 
-// Fake shards speaking raw frames through the exported wire surface:
+// Fake shards speaking raw frames through memserver's exported codec:
 // the only way to get deterministic Nack and failure injection, since
 // real shards Nack only under racy queue pressure.
 
@@ -52,16 +52,9 @@ func startFakeShard(t *testing.T, mode int, retrySecs uint32) string {
 					if mode == fakeDrop {
 						return
 					}
-					read := len(body) >= memserver.WireHdrSize && body[1] == memserver.WireFrameReadReq
-					var ops []memserver.BatchOp
-					var code uint16
-					if read {
-						ops, code = memserver.DecodeWireReadReq(body[memserver.WireHdrSize:], nil)
-					} else {
-						ops, code = memserver.DecodeWireBatchReq(body[memserver.WireHdrSize:], nil)
-					}
+					ops, read, code, msg := memserver.DecodeFrame(body, nil, ^uint64(0))
 					if code != 0 {
-						conn.Write(memserver.AppendWireFrame(nil, memserver.AppendWireErr(nil, code, "decode")))
+						conn.Write(memserver.AppendErrFrame(nil, code, msg))
 						continue
 					}
 					resp := &memserver.BatchResponse{}
@@ -81,18 +74,7 @@ func startFakeShard(t *testing.T, mode int, retrySecs uint32) string {
 							}
 						}
 					}
-					var out []byte
-					switch {
-					case mode == fakeNack && read:
-						out = memserver.AppendWireReadNack(nil, retrySecs, resp)
-					case mode == fakeNack:
-						out = memserver.AppendWireNack(nil, retrySecs, resp)
-					case read:
-						out = memserver.AppendWireReadResp(nil, resp)
-					default:
-						out = memserver.AppendWireBatchResp(nil, resp)
-					}
-					conn.Write(memserver.AppendWireFrame(nil, out))
+					conn.Write(memserver.AppendResponse(nil, resp, read, mode == fakeNack, retrySecs))
 				}
 			}()
 		}

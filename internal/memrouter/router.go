@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"securityrbsg/internal/memserver"
 )
 
 // Config describes one router instance.
@@ -31,9 +33,6 @@ type Config struct {
 	// Window is the in-flight frame window per shard connection
 	// (default 32).
 	Window int
-	// FrontendWindow is the in-flight frame window per client
-	// connection (default 32).
-	FrontendWindow int
 	// HealthEvery is the shard health-probe period (default 2s).
 	HealthEvery time.Duration
 }
@@ -51,9 +50,6 @@ func (c *Config) normalize() error {
 	if c.Window <= 0 {
 		c.Window = 32
 	}
-	if c.FrontendWindow <= 0 {
-		c.FrontendWindow = 32
-	}
 	if c.HealthEvery <= 0 {
 		c.HealthEvery = 2 * time.Second
 	}
@@ -68,13 +64,11 @@ type Router struct {
 	m     *Map
 	pools []*shardPool
 
-	fe       frontendState
+	fe       *memserver.FrameServer // client listener
 	draining atomic.Bool
 	started  atomic.Bool
 
 	// Serving counters (/metrics).
-	frames   atomic.Uint64 // frames processed on the client listener
-	rejects  atomic.Uint64 // frames rejected before routing
 	nacks    atomic.Uint64 // frames answered with aggregated backpressure
 	lineOps  atomic.Uint64 // line ops routed (batch + read frames)
 	readOps  atomic.Uint64 // of those, ops on streaming read-batch frames
@@ -107,6 +101,7 @@ func New(cfg Config) (*Router, error) {
 		health:     make([]shardHealth, len(cfg.Shards)),
 		stopHealth: make(chan struct{}),
 	}
+	r.fe = memserver.NewFrameServer(frontend{r}, cfg.Lines)
 	for i := range r.health {
 		r.health[i] = shardHealth{ok: false, detail: "not probed yet"}
 	}
@@ -141,7 +136,10 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	if r.draining.Swap(true) {
 		return nil
 	}
-	err := r.shutdownFrontend(ctx)
+	err := r.fe.Shutdown(ctx)
+	if err != nil {
+		err = fmt.Errorf("memrouter: frontend %w", err)
+	}
 	close(r.stopHealth)
 	r.healthWG.Wait()
 	if r.started.Load() {

@@ -12,7 +12,7 @@ import "securityrbsg/internal/memserver"
 // to shard-local lines, and the original op positions they came from.
 type shardBatch struct {
 	shard int
-	ops   []memserver.BatchOp // local-line ops (write path and fallback)
+	ops   []memserver.BatchOp // local-line ops (write path)
 	lines []uint64            // local lines only (read-mode path)
 	idx   []int               // original positions in the client batch
 }
@@ -79,7 +79,7 @@ func split(m *Map, ops []memserver.BatchOp, read bool, p *splitPlan) {
 //     results exist; every op in the sub-batch counts rejected
 type shardOutcome struct {
 	batch          *shardBatch
-	resp           *memserver.BatchResponse     // write path (and read fallback)
+	resp           *memserver.BatchResponse     // write path
 	rresp          *memserver.ReadBatchResponse // read-mode path
 	nacked         bool
 	retryAfterSecs uint32
@@ -160,7 +160,7 @@ func merge(outcomes []shardOutcome, total int, out *memserver.BatchResponse) (na
 		}
 	}
 	if nack && retryAfterSecs == 0 {
-		retryAfterSecs = memserver.WireNackRetryAfterSecs
+		retryAfterSecs = memserver.NackRetryAfterSecs
 	}
 	return nack, retryAfterSecs
 }

@@ -209,8 +209,8 @@ func TestMergeFailedShard(t *testing.T) {
 	}
 	var out memserver.BatchResponse
 	nack, retry := merge(outcomes, len(ops), &out)
-	if !nack || retry != memserver.WireNackRetryAfterSecs {
-		t.Fatalf("nack=%v retry=%d, want true/%d", nack, retry, memserver.WireNackRetryAfterSecs)
+	if !nack || retry != memserver.NackRetryAfterSecs {
+		t.Fatalf("nack=%v retry=%d, want true/%d", nack, retry, memserver.NackRetryAfterSecs)
 	}
 	if out.Applied != 2 || out.Rejected != 1 {
 		t.Fatalf("applied=%d rejected=%d, want 2/1", out.Applied, out.Rejected)

@@ -90,9 +90,10 @@ func BenchmarkMemserverBatchWriteAdaptive(b *testing.B) {
 
 // BenchmarkBinaryBatchWrite is the binary-protocol counterpart of
 // BenchmarkMemserverBatchWrite: the same banks, the same 256-op batch
-// shape, but frames through processFrame — the whole binary hot path
-// minus socket I/O, exactly as the JSON bench skips sockets by calling
-// the handler. The bench gate holds this to ≥3× the JSON path's
+// shape, but frames through the frame server's start and finish (the
+// reader's and the writer's halves of a connection) — the whole binary
+// hot path minus socket I/O and the goroutine handoff, exactly as the
+// JSON bench skips sockets by calling the handler. The bench gate holds this to ≥3× the JSON path's
 // lines/s: if framing ever grows JSON-shaped overhead, the gate sees
 // it.
 func BenchmarkBinaryBatchWrite(b *testing.B) {
@@ -108,25 +109,29 @@ func BenchmarkBinaryBatchWrite(b *testing.B) {
 	for i := range ops {
 		ops[i] = BatchOp{Line: rng.Uint64n(s.Config().Lines), Data: 2}
 	}
-	body := appendBatchReqBody(nil, wireVersion, ops)
-	sc := &connScratch{batch: getBatchScratch(s.cfg.Banks)}
+	body := AppendBatchReqBody(nil, WireVersion, ops)
+	var (
+		dec []BatchOp
+		out []byte
+	)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, fatal := s.processFrame(sc, body)
-		if fatal || len(out) < 4+wireHdrSize || out[4+1] != frameBatchResp {
-			b.Fatalf("frame %d: fatal=%v out=% x", i, fatal, out[:min(len(out), 8)])
+		out = s.bin.finish(s.bin.start(body, &dec), out[:0])
+		if len(out) < 4+WireHdrSize || out[4+1] != FrameBatchResp {
+			b.Fatalf("frame %d: out=% x", i, out[:min(len(out), 8)])
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "lines/s")
 }
 
-// BenchmarkBinaryDecodeFrame isolates the wire decode: one 256-op
-// frame body into the pooled op scratch. The gate pins its allocs/op
-// at zero — the decode path must stay alloc-free or the protocol has
-// lost its reason to exist.
+// BenchmarkBinaryDecodeFrame isolates the frame server's decode: one
+// 256-op frame body checked and decoded into the connection's op
+// buffer, ops validated against the line space. The gate pins its
+// allocs/op at zero — the decode path must stay alloc-free or the
+// protocol has lost its reason to exist.
 func BenchmarkBinaryDecodeFrame(b *testing.B) {
 	const batch = 256
 	rng := stats.NewRNG(3)
@@ -138,13 +143,13 @@ func BenchmarkBinaryDecodeFrame(b *testing.B) {
 			ops[i].Data = 0
 		}
 	}
-	payload := appendBatchReqBody(nil, wireVersion, ops)[wireHdrSize:]
+	body := AppendBatchReqBody(nil, WireVersion, ops)
 	dst := make([]BatchOp, 0, batch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		decoded, code := decodeBatchReq(payload, dst)
+		decoded, _, code, _ := DecodeFrame(body, dst, 8<<14)
 		if code != 0 || len(decoded) != batch {
 			b.Fatalf("decode: code %d, %d ops", code, len(decoded))
 		}

@@ -7,50 +7,97 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// The binary listener: the same pooled batch engine as /v1/batch behind
-// the length-prefixed wire protocol (wire.go) instead of HTTP+JSON.
-// One goroutine per connection reads frames, decodes them zero-copy
-// into the connection's pooled batch scratch, runs them through
-// executeBatch (the identical coalesce/enqueue/collect core the JSON
-// handler uses — banks cannot tell the protocols apart), and writes
-// the response frame from the same scratch. Backpressure maps the JSON
-// 429+Retry-After onto a Nack frame carrying the retry-after seconds
-// and the partial accounting; draining maps 503 onto a typed Err
-// frame. Per-op simulated latencies cross this wire exactly as they
-// cross the JSON one, so the timing side channel is transport-neutral.
+// The frame server: one implementation of the binary listener (wire.go)
+// for every daemon that speaks the protocol. memctld and memrouterd
+// differ only in the two-phase FrameHandler they plug in.
+//
+// Each connection runs a reader and a writer goroutine joined by a
+// bounded queue of pendingFrames frames. The reader decodes and
+// validates a frame, hands the ops to the handler's Start (which
+// dispatches them: to the bank actors, or to the shard pools) and
+// queues the frame; the writer calls Finish on queued frames strictly
+// in arrival order and writes each response. A pipelined client thus
+// overlaps its window across the server's own work, and a lockstep
+// client sees a plain request/response server. Frames of one
+// connection reach every bank actor (or shard) in arrival order; a
+// Nacked frame may be overtaken by a later frame that was accepted.
+//
+// Backpressure maps the JSON 429+Retry-After onto a Nack frame carrying
+// the retry-after seconds and the partial accounting; draining maps 503
+// onto a typed Err frame. Per-op simulated latencies cross this wire
+// exactly as they cross the JSON one, so the timing side channel is
+// transport-neutral.
 
-// binaryState tracks the listeners and live connections of the binary
-// protocol so a drain can stop them gracefully.
-type binaryState struct {
+// FrameHandler is one daemon's half of a FrameServer: two phases over
+// the handler's own pooled per-frame state.
+type FrameHandler interface {
+	// Start dispatches one decoded, validated frame and returns its
+	// in-flight state, or nil when the daemon is draining (the server
+	// then answers Err draining and closes the connection). ops is the
+	// connection's decode buffer: Start must copy what it keeps.
+	Start(ops []BatchOp, read bool) any
+	// Finish waits for a frame Start dispatched, appends its complete
+	// response frame to dst, and recycles the frame state.
+	Finish(f any, dst []byte) []byte
+}
+
+const (
+	// pendingFrames bounds the frames one connection has read but not
+	// yet answered: room for the 32-frame windows the router's shard
+	// pools and pipelining clients keep in flight, while a client that
+	// stops reading backs up into TCP instead of server memory.
+	pendingFrames = 32
+
+	// frameKeep is the largest frame buffer a connection keeps between
+	// frames; a larger one (up to WireMaxBody) is dropped once used, so
+	// per-connection memory does not grow to the largest frame seen.
+	frameKeep = 64 << 10
+)
+
+// FrameServer serves the binary protocol on any number of listeners
+// for one FrameHandler.
+type FrameServer struct {
+	h     FrameHandler
+	lines uint64 // ops must address lines below this
+
 	mu      sync.Mutex
 	lns     []net.Listener
 	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
 	closing bool
+
+	frames  atomic.Uint64 // frame bodies read
+	rejects atomic.Uint64 // frames answered with an Err before execution
 }
 
-// connScratch is one connection's reusable frame state: the length
-// prefix, the frame body buffer, and the pooled batch scratch that op
-// decode, execution, and response encode all share.
-type connScratch struct {
-	hdr   [4]byte
-	body  []byte
-	batch *batchScratch
+// NewFrameServer returns a server that validates ops against a space
+// of lines lines and executes them through h.
+func NewFrameServer(h FrameHandler, lines uint64) *FrameServer {
+	return &FrameServer{h: h, lines: lines, conns: make(map[net.Conn]struct{})}
 }
 
-// ServeBinary accepts binary-protocol connections on ln until the
-// listener closes (ShutdownBinary closes it, as does memctld on
-// SIGTERM). It returns nil on a clean close.
-func (s *Server) ServeBinary(ln net.Listener) error {
-	s.bin.mu.Lock()
-	if s.bin.conns == nil {
-		s.bin.conns = make(map[net.Conn]struct{})
+// Frames reports the frame bodies read so far.
+func (fs *FrameServer) Frames() uint64 { return fs.frames.Load() }
+
+// Rejects reports the frames answered with an Err frame instead of
+// executing (malformed, version-skewed, oversized, bad op, draining).
+func (fs *FrameServer) Rejects() uint64 { return fs.rejects.Load() }
+
+// Serve accepts connections on ln until the listener closes (Shutdown
+// closes it). It returns nil on a clean close.
+func (fs *FrameServer) Serve(ln net.Listener) error {
+	fs.mu.Lock()
+	if fs.closing {
+		fs.mu.Unlock()
+		ln.Close()
+		return nil
 	}
-	s.bin.lns = append(s.bin.lns, ln)
-	s.bin.mu.Unlock()
+	fs.lns = append(fs.lns, ln)
+	fs.mu.Unlock()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -59,229 +106,191 @@ func (s *Server) ServeBinary(ln net.Listener) error {
 			}
 			return err
 		}
-		s.bin.mu.Lock()
-		if s.bin.closing {
-			s.bin.mu.Unlock()
+		fs.mu.Lock()
+		if fs.closing {
+			fs.mu.Unlock()
 			c.Close()
 			continue
 		}
-		s.bin.conns[c] = struct{}{}
-		s.bin.wg.Add(1)
-		s.bin.mu.Unlock()
-		go s.handleBinaryConn(c)
+		fs.conns[c] = struct{}{}
+		fs.wg.Add(1)
+		fs.mu.Unlock()
+		go fs.serveConn(c)
 	}
 }
 
-// ShutdownBinary stops the binary protocol: listeners close, blocked
-// reads are woken by an immediate deadline so each connection can
-// answer its client with a draining Err frame, and every connection
-// goroutine is waited for (or force-closed when ctx expires). Call it
-// before Drain, like http.Server.Shutdown: the actors must still be
-// running while in-flight frames finish.
-func (s *Server) ShutdownBinary(ctx context.Context) error {
-	s.bin.mu.Lock()
-	s.bin.closing = true
-	for _, ln := range s.bin.lns {
+// Shutdown stops the server: listeners close, blocked reads are woken
+// by an immediate deadline so each connection answers its client with
+// a draining Err frame after its queued frames, and every connection
+// is waited for (or force-closed when ctx expires). The handler's back
+// end (bank actors, shard pools) must keep running until it returns.
+func (fs *FrameServer) Shutdown(ctx context.Context) error {
+	fs.mu.Lock()
+	fs.closing = true
+	for _, ln := range fs.lns {
 		ln.Close()
 	}
-	s.bin.lns = nil
-	for c := range s.bin.conns {
-		// Wake the reader; the handler sees closing and says goodbye.
+	fs.lns = nil
+	for c := range fs.conns {
 		c.SetReadDeadline(time.Unix(0, 1)) //rbsglint:allow simdeterminism -- connection teardown plumbing, not simulation state
 	}
-	s.bin.mu.Unlock()
+	fs.mu.Unlock()
 
 	done := make(chan struct{})
-	go func() { s.bin.wg.Wait(); close(done) }()
+	go func() { fs.wg.Wait(); close(done) }()
 	select {
 	case <-done:
 		return nil
 	case <-ctx.Done():
-		s.bin.mu.Lock()
-		for c := range s.bin.conns {
+		fs.mu.Lock()
+		for c := range fs.conns {
 			c.Close()
 		}
-		s.bin.mu.Unlock()
-		return fmt.Errorf("memserver: binary shutdown: %w", ctx.Err())
+		fs.mu.Unlock()
+		return fmt.Errorf("frame server shutdown: %w", ctx.Err())
 	}
 }
 
-// binaryClosing reports whether ShutdownBinary has begun.
-func (s *Server) binaryClosing() bool {
-	s.bin.mu.Lock()
-	defer s.bin.mu.Unlock()
-	return s.bin.closing
+func (fs *FrameServer) isClosing() bool {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.closing
 }
 
-// handleBinaryConn is one connection's frame loop. Connection setup and
-// teardown may allocate; the per-frame path (readFrame → processFrame →
-// write) must not.
-func (s *Server) handleBinaryConn(c net.Conn) {
-	defer func() {
-		s.bin.mu.Lock()
-		delete(s.bin.conns, c)
-		s.bin.mu.Unlock()
-		s.bin.wg.Done()
-		c.Close()
-	}()
-	sc := &connScratch{batch: getBatchScratch(s.cfg.Banks)}
-	defer putBatchScratch(sc.batch)
-	for {
-		body, err := s.readFrame(c, sc)
-		if err != nil {
-			// A reader woken mid-drain gets told why before the
-			// connection goes away; any other read error is the client
-			// hanging up (or a hard reject that already answered).
-			if s.binaryClosing() {
-				c.Write(frameOut(sc.batch, appendErrBody(frameReserve(sc.batch), wireErrDraining, "server draining")))
-			}
-			return
-		}
-		out, fatal := s.processFrame(sc, body)
-		if len(out) > 0 {
-			if _, err := c.Write(out); err != nil {
-				return
-			}
-		}
-		if fatal {
-			return
-		}
-	}
+// pendingFrame is one read frame awaiting its answer: the handler's
+// in-flight state, or (f nil) the Err frame to send instead.
+type pendingFrame struct {
+	f    any
+	code uint16
+	msg  string
 }
 
-// readFrame reads one length-prefixed frame body into the connection's
-// buffer. An oversized length prefix is a hard reject: the client is
-// sent a typed Err frame, the caller gets errFrameTooLarge, and the
-// connection closes (the server will not stream-skip an attacker-sized
-// body to stay in frame sync).
+// fatal reports whether the connection closes after this answer.
+func (p pendingFrame) fatal() bool {
+	return p.code == WireErrTooLarge || p.code == WireErrDraining
+}
+
+// start runs one frame body through decode, validation and the
+// handler's Start. ops is the connection's decode buffer.
 //
 //rbsglint:hotpath
-func (s *Server) readFrame(c net.Conn, sc *connScratch) ([]byte, error) {
-	if err := readFull(c, sc.hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(sc.hdr[:])
-	if n > wireMaxBody {
-		s.binRejects.Add(1)
-		c.Write(frameOut(sc.batch, appendErrBody(frameReserve(sc.batch), wireErrTooLarge, "frame body over limit")))
-		return nil, errFrameTooLarge
-	}
-	if cap(sc.body) < int(n) {
-		sc.body = make([]byte, n)
-	}
-	sc.body = sc.body[:n]
-	if err := readFull(c, sc.body); err != nil {
-		return nil, err
-	}
-	return sc.body, nil
-}
-
-var errFrameTooLarge = fmt.Errorf("memserver: binary frame over size limit")
-
-// processFrame decodes one frame body, executes it, and encodes the
-// response frame into the connection scratch. fatal reports that the
-// connection must close (the server is draining). This is the whole
-// binary hot path minus the socket I/O — BenchmarkBinaryBatchWrite
-// drives it directly.
-//
-//rbsglint:hotpath
-func (s *Server) processFrame(sc *connScratch, body []byte) (out []byte, fatal bool) {
-	s.binFrames.Add(1)
-	b := sc.batch
-	if len(body) < wireHdrSize {
-		s.binRejects.Add(1)
-		return frameOut(b, appendErrBody(frameReserve(b), wireErrMalformed, "frame body under header size")), false
-	}
-	if body[0] != wireVersion {
-		// Version skew: the frame was length-delimited, so framing is
-		// intact — answer with a typed Err and keep the connection.
-		s.binRejects.Add(1)
-		return frameOut(b, appendErrBody(frameReserve(b), wireErrVersion, "server speaks version 1")), false
-	}
+func (fs *FrameServer) start(body []byte, ops *[]BatchOp) pendingFrame {
+	fs.frames.Add(1)
 	var (
-		ops  []BatchOp
-		code uint16
+		read bool
+		p    pendingFrame
 	)
-	read := false
-	switch body[1] {
-	case frameBatchReq:
-		ops, code = decodeBatchReq(body[wireHdrSize:], b.req.Ops)
-	case frameReadReq:
-		// Streaming read-mostly mode: the reads run through the same
-		// batch engine, only the response encoding is thinner.
-		read = true
-		ops, code = decodeReadReqOps(body[wireHdrSize:], b.req.Ops)
-	default:
-		s.binRejects.Add(1)
-		return frameOut(b, appendErrBody(frameReserve(b), wireErrMalformed, "frame type not batch-req or read-req")), false
-	}
-	b.req.Ops = ops
-	if code != 0 {
-		s.binRejects.Add(1)
-		return frameOut(b, appendErrBody(frameReserve(b), code, "batch payload failed decode")), false
-	}
-	for _, o := range ops {
-		if o.Line >= s.cfg.Lines || o.Data > 2 {
-			s.binRejects.Add(1)
-			return frameOut(b, appendErrBody(frameReserve(b), wireErrBadOp, "op line out of space or content class not in {0,1,2}")), false
+	*ops, read, p.code, p.msg = DecodeFrame(body, *ops, fs.lines)
+	if p.code == 0 {
+		if p.f = fs.h.Start(*ops, read); p.f != nil {
+			return p
 		}
+		p.code, p.msg = WireErrDraining, "server draining"
 	}
+	fs.rejects.Add(1)
+	return p
+}
 
-	draining := s.executeBatch(b)
-	resetRuns(b) // the scratch lives as long as the connection
-	resp := &b.resp
-	s.binLineOps.Add(uint64(resp.Applied))
-	if read {
-		s.binReadOps.Add(uint64(resp.Applied))
+// finish appends the answer to a frame start produced.
+//
+//rbsglint:hotpath
+func (fs *FrameServer) finish(p pendingFrame, dst []byte) []byte {
+	if p.f == nil {
+		return AppendErrFrame(dst, p.code, p.msg)
 	}
-	switch {
-	case resp.Applied == 0 && draining:
-		return frameOut(b, appendErrBody(frameReserve(b), wireErrDraining, "server draining")), true
-	case resp.Rejected > 0:
-		o := frameReserve(b)
-		o = append(o, wireVersion, frameNack)
-		o = binary.LittleEndian.AppendUint32(o, nackRetryAfterSecs)
-		if read {
-			o = appendReadRespPayload(o, resp)
-		} else {
-			o = appendBatchRespPayload(o, resp)
+	return fs.h.Finish(p.f, dst)
+}
+
+// frameConn is one connection: the reader's buffers (hdr, body, ops)
+// and the writer's (out), with the pending queue between them.
+type frameConn struct {
+	fs      *FrameServer
+	c       net.Conn
+	pending chan pendingFrame
+	hdr     [4]byte
+	body    []byte
+	ops     []BatchOp
+	out     []byte
+}
+
+// serveConn runs one connection to completion: this goroutine reads, a
+// second one writes, and the connection closes once every frame the
+// reader queued has been answered.
+func (fs *FrameServer) serveConn(c net.Conn) {
+	fc := &frameConn{fs: fs, c: c, pending: make(chan pendingFrame, pendingFrames)}
+	written := make(chan struct{})
+	go func() {
+		fc.writeLoop()
+		close(written)
+	}()
+	fc.readLoop()
+	close(fc.pending)
+	<-written
+	c.Close()
+	fs.mu.Lock()
+	delete(fs.conns, c)
+	fs.mu.Unlock()
+	fs.wg.Done()
+}
+
+// readLoop reads and starts frames until the client hangs up, a frame
+// costs the connection, or a drain wakes it (the goodbye Err frame is
+// then the last answer queued).
+//
+//rbsglint:hotpath
+func (fc *frameConn) readLoop() {
+	for {
+		if err := readFull(fc.c, fc.hdr[:]); err != nil {
+			if fc.fs.isClosing() {
+				fc.pending <- pendingFrame{code: WireErrDraining, msg: "server draining"}
+			}
+			return
 		}
-		return frameOut(b, o), false
-	case read:
-		o := frameReserve(b)
-		o = append(o, wireVersion, frameReadResp)
-		o = appendReadRespPayload(o, resp)
-		return frameOut(b, o), false
-	default:
-		o := frameReserve(b)
-		o = append(o, wireVersion, frameBatchResp)
-		o = appendBatchRespPayload(o, resp)
-		return frameOut(b, o), false
+		n := binary.LittleEndian.Uint32(fc.hdr[:])
+		if n > WireMaxBody {
+			// Hard reject: the server will not stream-skip an
+			// attacker-sized body to stay in frame sync.
+			fc.fs.rejects.Add(1)
+			fc.pending <- pendingFrame{code: WireErrTooLarge, msg: "frame body over limit"}
+			return
+		}
+		if cap(fc.body) < int(n) {
+			fc.body = make([]byte, n)
+		}
+		fc.body = fc.body[:n]
+		if err := readFull(fc.c, fc.body); err != nil {
+			return
+		}
+		p := fc.fs.start(fc.body, &fc.ops)
+		if cap(fc.body) > frameKeep {
+			fc.body, fc.ops = nil, nil // Start copied the ops out
+		}
+		fc.pending <- p
+		if p.fatal() {
+			return
+		}
 	}
 }
 
-// nackRetryAfterSecs mirrors the JSON API's Retry-After header value.
-const nackRetryAfterSecs = 1
-
-// frameReserve starts a response frame in the batch scratch's out
-// buffer, leaving room for the length prefix frameOut fills in.
+// writeLoop answers queued frames in arrival order. After a write error
+// it keeps finishing frames without writing, so their dispatched work
+// is still collected and recycled.
 //
 //rbsglint:hotpath
-func frameReserve(b *batchScratch) []byte {
-	if cap(b.out) < 4 {
-		b.out = make([]byte, 4)
+func (fc *frameConn) writeLoop() {
+	dead := false
+	for p := range fc.pending {
+		fc.out = fc.fs.finish(p, fc.out[:0])
+		if !dead {
+			if _, err := fc.c.Write(fc.out); err != nil {
+				dead = true
+				fc.c.Close() // wakes the reader
+			}
+		}
+		if cap(fc.out) > frameKeep {
+			fc.out = nil
+		}
 	}
-	return b.out[:4]
-}
-
-// frameOut finishes a frame started by frameReserve: the body length
-// lands in the reserved prefix and the whole buffer is the frame.
-//
-//rbsglint:hotpath
-func frameOut(b *batchScratch, buf []byte) []byte {
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(buf)-4))
-	b.out = buf
-	return buf
 }
 
 // readFull fills buf from c (io.ReadFull without the out-of-module
@@ -298,6 +307,52 @@ func readFull(c net.Conn, buf []byte) error {
 			}
 			return err
 		}
+	}
+	return nil
+}
+
+// binaryFrames is memctld's FrameHandler: Start coalesces a frame's ops
+// per bank and enqueues them to the bank actors, Finish collects the
+// results and encodes the response. The per-frame state is a pooled
+// batchScratch, the same engine the JSON handler drives.
+type binaryFrames struct{ s *Server }
+
+//rbsglint:hotpath
+func (h binaryFrames) Start(ops []BatchOp, read bool) any {
+	b := getBatchScratch(h.s.cfg.Banks)
+	b.read = read
+	if h.s.enqueueBatch(b, ops) && b.resp.Rejected == len(ops) {
+		putBatchScratch(b)
+		return nil
+	}
+	return b
+}
+
+//rbsglint:hotpath
+func (h binaryFrames) Finish(f any, dst []byte) []byte {
+	b := f.(*batchScratch)
+	h.s.collectBatch(b)
+	resp := &b.resp
+	h.s.binLineOps.Add(uint64(resp.Applied))
+	if b.read {
+		h.s.binReadOps.Add(uint64(resp.Applied))
+	}
+	dst = AppendResponse(dst, resp, b.read, resp.Rejected > 0, NackRetryAfterSecs)
+	putBatchScratch(b)
+	return dst
+}
+
+// ServeBinary accepts binary-protocol connections on ln until the
+// listener closes (ShutdownBinary closes it, as does memctld on
+// SIGTERM). It returns nil on a clean close.
+func (s *Server) ServeBinary(ln net.Listener) error { return s.bin.Serve(ln) }
+
+// ShutdownBinary stops the binary protocol (FrameServer.Shutdown). Call
+// it before Drain, like http.Server.Shutdown: the actors must still be
+// running while in-flight frames finish.
+func (s *Server) ShutdownBinary(ctx context.Context) error {
+	if err := s.bin.Shutdown(ctx); err != nil {
+		return fmt.Errorf("memserver: binary %w", err)
 	}
 	return nil
 }

@@ -1,10 +1,6 @@
 package memserver
 
 import (
-	"encoding/binary"
-	"io"
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -171,96 +167,6 @@ func TestBinaryPipelinedReadBatches(t *testing.T) {
 	}
 }
 
-// startLegacyBinaryServer fakes a PR 9 era server: it speaks BatchReq
-// frames against a real engine but answers any other frame type — read
-// frames included — with the typed malformed Err, exactly as the old
-// processFrame did. readFrames counts the ReadReq probes it turned
-// away.
-func startLegacyBinaryServer(t *testing.T, cfg Config) (addr string, readFrames *atomic.Uint64) {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	readFrames = new(atomic.Uint64)
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				sc := getBatchScratch(cfg.Banks)
-				defer putBatchScratch(sc)
-				for {
-					var hdr [4]byte
-					if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-						return
-					}
-					body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
-					if _, err := io.ReadFull(conn, body); err != nil {
-						return
-					}
-					if len(body) < wireHdrSize || body[1] != frameBatchReq {
-						if len(body) >= wireHdrSize && body[1] == frameReadReq {
-							readFrames.Add(1)
-						}
-						conn.Write(appendFrame(nil, appendErrBody(nil, wireErrMalformed, "frame type not batch-req")))
-						continue
-					}
-					ops, code := decodeBatchReq(body[wireHdrSize:], sc.req.Ops)
-					sc.req.Ops = ops
-					if code != 0 {
-						conn.Write(appendFrame(nil, appendErrBody(nil, code, "decode")))
-						continue
-					}
-					s.executeBatch(sc)
-					resetRuns(sc)
-					out := append([]byte(nil), wireVersion, frameBatchResp)
-					out = appendBatchRespPayload(out, &sc.resp)
-					conn.Write(appendFrame(nil, out))
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String(), readFrames
-}
-
-// TestBinaryReadBatchFallback: against a server that predates ReadReq
-// frames, ReadBatch transparently falls back to a full batch of reads
-// — same data out — and the fallback is sticky: the connection probes
-// the thin frame exactly once.
-func TestBinaryReadBatchFallback(t *testing.T) {
-	addr, readFrames := startLegacyBinaryServer(t, testConfig())
-	c := dialBinary(t, addr)
-
-	if _, err := c.Batch([]BatchOp{{Line: 7, Data: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		r, err := c.ReadBatch([]uint64{7, 8})
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if len(r.Data) != 2 || r.Data[0] != 2 {
-			t.Fatalf("round %d: data %v, want [2 0]", round, r.Data)
-		}
-		if r.Applied != 2 {
-			t.Fatalf("round %d: applied %d, want 2", round, r.Applied)
-		}
-	}
-	if got := readFrames.Load(); got != 1 {
-		t.Fatalf("legacy server saw %d ReadReq probes, want exactly 1 (fallback not sticky)", got)
-	}
-}
-
 // TestBinaryReadNackBackpressure: a Nacked ReadReq frame surfaces as a
 // BackpressureError carrying the thin partial accounting.
 func TestBinaryReadNackBackpressure(t *testing.T) {
@@ -281,8 +187,8 @@ func TestBinaryReadNackBackpressure(t *testing.T) {
 	if !ok {
 		t.Fatalf("want BackpressureError, got %v", err)
 	}
-	if be.RetryAfter != nackRetryAfterSecs*time.Second {
-		t.Fatalf("retry-after %v, want %ds", be.RetryAfter, nackRetryAfterSecs)
+	if be.RetryAfter != NackRetryAfterSecs*time.Second {
+		t.Fatalf("retry-after %v, want %ds", be.RetryAfter, NackRetryAfterSecs)
 	}
 	if be.ReadResp == nil || be.ReadResp.Rejected != 1 || be.ReadResp.Applied != 0 {
 		t.Fatalf("partial read accounting wrong: %+v", be.ReadResp)

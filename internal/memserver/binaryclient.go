@@ -53,11 +53,9 @@ type BinaryClient struct {
 	rbuf []byte
 
 	// Lockstep-call state (Batch/ReadBatch/Write/Read only).
-	op           [1]BatchOp
-	resp         BatchResponse
-	rresp        ReadBatchResponse
-	fallbackOps  []BatchOp
-	readFallback bool // server rejected read-req frames; use full batches
+	op    [1]BatchOp
+	resp  BatchResponse
+	rresp ReadBatchResponse
 }
 
 // DialBinary connects to a memctld binary listener (host:port).
@@ -80,7 +78,7 @@ func (c *BinaryClient) version() uint8 {
 	if c.Version != 0 {
 		return c.Version
 	}
-	return wireVersion
+	return WireVersion
 }
 
 // SendBatch writes one batch frame without waiting for its response.
@@ -95,7 +93,7 @@ func (c *BinaryClient) SendBatch(ops []BatchOp) error {
 	if cap(c.wbuf) < 4 {
 		c.wbuf = make([]byte, 4)
 	}
-	c.wbuf = appendBatchReqBody(c.wbuf[:4], c.version(), ops)
+	c.wbuf = AppendBatchReqBody(c.wbuf[:4], c.version(), ops)
 	binary.LittleEndian.PutUint32(c.wbuf[:4], uint32(len(c.wbuf)-4))
 	if _, err := c.conn.Write(c.wbuf); err != nil {
 		return fmt.Errorf("binary write: %w", err)
@@ -105,8 +103,6 @@ func (c *BinaryClient) SendBatch(ops []BatchOp) error {
 
 // SendReadBatch writes one streaming read-batch frame (no per-op ns in
 // the response) without waiting. Complete it with RecvReadBatch.
-// Pipelined reads do not auto-fall back on old servers — use the
-// lockstep ReadBatch when the server version is unknown.
 //
 //rbsglint:hotpath
 func (c *BinaryClient) SendReadBatch(lines []uint64) error {
@@ -129,45 +125,24 @@ func (c *BinaryClient) SendReadBatch(lines []uint64) error {
 //
 //rbsglint:hotpath
 func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {
-	body, err := c.readFrame()
-	if err != nil {
+	typ, payload, err := c.recv()
+	switch {
+	case err != nil:
 		return err
-	}
-	if len(body) < wireHdrSize {
-		return fmt.Errorf("binary response body %d bytes, below header size", len(body))
-	}
-	if body[0] != wireVersion {
-		return fmt.Errorf("binary response version %d, client speaks %d", body[0], wireVersion)
-	}
-	switch body[1] {
-	case frameBatchResp:
-		if code := decodeBatchRespPayload(body[wireHdrSize:], resp); code != 0 {
+	case typ == FrameBatchResp:
+		if code := decodeBatchRespPayload(payload, resp); code != 0 {
 			return fmt.Errorf("binary response payload failed decode (code %d)", code)
 		}
 		return nil
-	case frameNack:
-		payload := body[wireHdrSize:]
-		if len(payload) < 4 {
-			return fmt.Errorf("binary nack payload %d bytes, below retry-after field", len(payload))
-		}
-		//rbsglint:allow hotpathalloc -- backpressure branch only; one error value per Nacked frame
-		be := &BackpressureError{
-			RetryAfter: time.Duration(binary.LittleEndian.Uint32(payload)) * time.Second,
-		}
+	case typ == FrameNack:
+		be := nackError(payload)
 		if decodeBatchRespPayload(payload[4:], resp) == 0 {
 			be.Resp = resp
 		}
 		return be
-	case frameErr:
-		//rbsglint:allow hotpathalloc -- protocol-reject branch only; never on the steady-state path
-		we, ok := decodeErrBody(body[wireHdrSize:])
-		if !ok {
-			return fmt.Errorf("binary err frame payload failed decode")
-		}
-		return we
 	default:
 		//rbsglint:allow hotpathalloc -- unknown-frame error path
-		return fmt.Errorf("binary response frame type %d unknown", body[1])
+		return fmt.Errorf("binary response frame type %d unknown", typ)
 	}
 }
 
@@ -177,45 +152,65 @@ func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {
 //
 //rbsglint:hotpath
 func (c *BinaryClient) RecvReadBatch(r *ReadBatchResponse) error {
-	body, err := c.readFrame()
-	if err != nil {
+	typ, payload, err := c.recv()
+	switch {
+	case err != nil:
 		return err
-	}
-	if len(body) < wireHdrSize {
-		return fmt.Errorf("binary response body %d bytes, below header size", len(body))
-	}
-	if body[0] != wireVersion {
-		return fmt.Errorf("binary response version %d, client speaks %d", body[0], wireVersion)
-	}
-	switch body[1] {
-	case frameReadResp:
-		if code := decodeReadRespPayload(body[wireHdrSize:], r); code != 0 {
+	case typ == FrameReadResp:
+		if code := decodeReadRespPayload(payload, r); code != 0 {
 			return fmt.Errorf("binary read response payload failed decode (code %d)", code)
 		}
 		return nil
-	case frameNack:
-		payload := body[wireHdrSize:]
-		if len(payload) < 4 {
-			return fmt.Errorf("binary nack payload %d bytes, below retry-after field", len(payload))
-		}
-		//rbsglint:allow hotpathalloc -- backpressure branch only; one error value per Nacked frame
-		be := &BackpressureError{
-			RetryAfter: time.Duration(binary.LittleEndian.Uint32(payload)) * time.Second,
-		}
+	case typ == FrameNack:
+		be := nackError(payload)
 		if decodeReadRespPayload(payload[4:], r) == 0 {
 			be.ReadResp = r
 		}
 		return be
-	case frameErr:
-		//rbsglint:allow hotpathalloc -- protocol-reject branch only; never on the steady-state path
-		we, ok := decodeErrBody(body[wireHdrSize:])
-		if !ok {
-			return fmt.Errorf("binary err frame payload failed decode")
-		}
-		return we
 	default:
 		//rbsglint:allow hotpathalloc -- unknown-frame error path
-		return fmt.Errorf("binary read response frame type %d unknown", body[1])
+		return fmt.Errorf("binary read response frame type %d unknown", typ)
+	}
+}
+
+// recv reads the oldest outstanding response frame and returns its
+// type and payload. An Err frame comes back as the typed *WireError; a
+// Nack payload is at least its retry-after field long.
+//
+//rbsglint:hotpath
+func (c *BinaryClient) recv() (typ byte, payload []byte, err error) {
+	body, err := c.readFrame()
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(body) < WireHdrSize {
+		return 0, nil, fmt.Errorf("binary response body %d bytes, below header size", len(body))
+	}
+	if body[0] != WireVersion {
+		return 0, nil, fmt.Errorf("binary response version %d, client speaks %d", body[0], WireVersion)
+	}
+	typ, payload = body[1], body[WireHdrSize:]
+	switch typ {
+	case FrameErr:
+		//rbsglint:allow hotpathalloc -- protocol-reject branch only; never on the steady-state path
+		we, ok := decodeErrBody(payload)
+		if !ok {
+			return 0, nil, fmt.Errorf("binary err frame payload failed decode")
+		}
+		return 0, nil, we
+	case FrameNack:
+		if len(payload) < 4 {
+			return 0, nil, fmt.Errorf("binary nack payload %d bytes, below retry-after field", len(payload))
+		}
+	}
+	return typ, payload, nil
+}
+
+// nackError starts the backpressure error a Nack payload describes.
+func nackError(payload []byte) *BackpressureError {
+	//rbsglint:allow hotpathalloc -- backpressure branch only; one error value per Nacked frame
+	return &BackpressureError{
+		RetryAfter: time.Duration(binary.LittleEndian.Uint32(payload)) * time.Second,
 	}
 }
 
@@ -234,55 +229,16 @@ func (c *BinaryClient) Batch(ops []BatchOp) (*BatchResponse, error) {
 
 // ReadBatch reads lines through the streaming read-batch frame
 // (lockstep): the response carries data and batch accounting but no
-// per-op latencies. Against a server that predates read frames it
-// falls back — transparently and stickily for this connection — to a
-// full BatchReq of reads, so callers get identical data either way
-// (the fallback just pays the fatter response body). The returned
-// response is the client's own buffer, valid until the next lockstep
-// call.
+// per-op latencies. The returned response is the client's own buffer,
+// valid until the next lockstep call.
 func (c *BinaryClient) ReadBatch(lines []uint64) (*ReadBatchResponse, error) {
-	if !c.readFallback {
-		if err := c.SendReadBatch(lines); err != nil {
-			return nil, err
-		}
-		err := c.RecvReadBatch(&c.rresp)
-		if we, ok := err.(*WireError); ok && we.Code == wireErrMalformed {
-			// An old server answers an unknown frame type with a typed
-			// malformed-frame Err and keeps the connection: the designed
-			// signal to fall back to the frames it does speak.
-			c.readFallback = true
-		} else {
-			return &c.rresp, err
-		}
-	}
-	if cap(c.fallbackOps) < len(lines) {
-		c.fallbackOps = make([]BatchOp, 0, len(lines))
-	}
-	c.fallbackOps = c.fallbackOps[:0]
-	for _, l := range lines {
-		c.fallbackOps = append(c.fallbackOps, BatchOp{Line: l, Read: true})
-	}
-	resp, err := c.Batch(c.fallbackOps)
-	if be, ok := err.(*BackpressureError); ok && be.Resp != nil {
-		c.rresp = readRespFromBatch(resp)
-		be.Resp, be.ReadResp = nil, &c.rresp
-		return nil, be
-	}
-	if err != nil {
+	if err := c.SendReadBatch(lines); err != nil {
 		return nil, err
 	}
-	c.rresp = readRespFromBatch(resp)
-	return &c.rresp, nil
-}
-
-// readRespFromBatch projects a full batch response onto the thin read
-// response shape (the fallback path's translation).
-func readRespFromBatch(r *BatchResponse) ReadBatchResponse {
-	return ReadBatchResponse{
-		Applied: r.Applied, Rejected: r.Rejected,
-		NsSum: r.NsSum, NsMax: r.NsMax,
-		Data: r.Data,
+	if err := c.RecvReadBatch(&c.rresp); err != nil {
+		return nil, err
 	}
+	return &c.rresp, nil
 }
 
 // readFrame reads one length-prefixed frame body into the client's
@@ -294,8 +250,8 @@ func (c *BinaryClient) readFrame() ([]byte, error) {
 		return nil, fmt.Errorf("binary read header: %w", err)
 	}
 	n := binary.LittleEndian.Uint32(c.hdr[:])
-	if n > wireMaxBody {
-		return nil, fmt.Errorf("binary response body %d bytes over limit %d", n, wireMaxBody)
+	if n > WireMaxBody {
+		return nil, fmt.Errorf("binary response body %d bytes over limit %d", n, WireMaxBody)
 	}
 	if cap(c.rbuf) < int(n) {
 		c.rbuf = make([]byte, n)

@@ -262,7 +262,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	draining := s.executeBatch(sc)
+	draining := s.enqueueBatch(sc, ops)
+	s.collectBatch(sc)
 	resp := &sc.resp
 	s.jsonLineOps.Add(uint64(resp.Applied))
 	sc.out = appendBatchResponse(sc.out[:0], resp)
@@ -278,18 +279,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// executeBatch is the transport-independent batch engine: coalesce the
-// already-validated ops in sc.req.Ops into one run per touched bank
-// (preserving request order), enqueue every run without blocking, then
-// collect into sc.resp, whose Ns/Data align with the ops (rejected ops
-// report zero). Both the JSON handler and the binary frame processor
-// call it, so the banks — and the timing signal they emit — cannot
-// tell the protocols apart. It reports whether a drain caused any of
-// the rejections.
+// enqueueBatch and collectBatch are the transport-independent batch
+// engine. enqueueBatch coalesces the already-validated ops into one run
+// per touched bank (preserving request order) and enqueues every run
+// without blocking; collectBatch then waits for the runs into sc.resp,
+// whose Ns/Data align with the ops (rejected ops report zero). The
+// JSON handler calls both back to back; the binary frame handler
+// splits them across its Start and Finish, so the banks — and the
+// timing signal they emit — cannot tell the protocols apart.
+// enqueueBatch reports whether a drain caused any of the rejections.
 //
 //rbsglint:hotpath
-func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
-	ops := sc.req.Ops
+func (s *Server) enqueueBatch(sc *batchScratch, ops []BatchOp) (draining bool) {
 	for i, o := range ops {
 		bank, local := s.mem.Route(o.Line)
 		run := &sc.runs[bank]
@@ -301,7 +302,6 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 		run.idx = append(run.idx, i)
 	}
 
-	// Phase 1: enqueue everything (non-blocking), phase 2: collect.
 	resp := &sc.resp
 	resp.Applied, resp.Rejected, resp.NsSum, resp.NsMax = 0, 0, 0, 0
 	resp.Ns = resizeZeroed(resp.Ns, len(ops))
@@ -319,6 +319,15 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 			resp.Rejected += len(run.ops)
 		}
 	}
+	return draining
+}
+
+// collectBatch is the second half of the batch engine (see
+// enqueueBatch).
+//
+//rbsglint:hotpath
+func (s *Server) collectBatch(sc *batchScratch) {
+	resp := &sc.resp
 	for _, b := range sc.order {
 		run := &sc.runs[b]
 		if run.reply == nil {
@@ -338,7 +347,6 @@ func (s *Server) executeBatch(sc *batchScratch) (draining bool) {
 		resp.Applied += len(rb.res)
 		putResBuf(rb)
 	}
-	return draining
 }
 
 // resetBatchOps prepares sc.req.Ops for a JSON decode: length zero and

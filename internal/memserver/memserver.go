@@ -138,11 +138,9 @@ type Server struct {
 	draining  atomic.Bool
 	started   atomic.Bool
 
-	// Binary-protocol state (binary.go) and the per-protocol serving
+	// The binary listener (binary.go) and the per-protocol serving
 	// counters /metrics splits by transport.
-	bin         binaryState
-	binFrames   atomic.Uint64 // frames processed on the binary listener
-	binRejects  atomic.Uint64 // frames rejected before execution (malformed, skewed, oversized, bad op)
+	bin         *FrameServer
 	binLineOps  atomic.Uint64 // line ops applied via the binary protocol
 	binReadOps  atomic.Uint64 // of those, reads served through streaming read-batch frames
 	jsonLineOps atomic.Uint64 // line ops applied via the JSON HTTP API
@@ -158,6 +156,7 @@ func New(cfg Config) (*Server, error) {
 		detectors: make([]*detector.AdaptiveRBSG, cfg.Banks),
 		adaptives: make([]*seclevel.Adaptive, cfg.Banks),
 	}
+	s.bin = NewFrameServer(binaryFrames{s}, cfg.Lines)
 	factory := func(bank int, lines uint64) (wear.Scheme, error) {
 		seed := cfg.Seed + uint64(bank)
 		switch cfg.Scheme {

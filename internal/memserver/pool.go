@@ -61,11 +61,12 @@ type opScratch struct {
 
 var opScratchPool = sync.Pool{New: func() any { return new(opScratch) }}
 
-// batchScratch is the per-request state of /v1/batch: decode buffer and
-// request (Ops capacity reused by json.Unmarshal), the per-bank
-// coalescing runs (indexed by bank, `order` listing the banks touched
-// this request in first-touch order), the response with its aligned
-// arrays, and the encode buffer.
+// batchScratch is the per-request state of /v1/batch and of one binary
+// frame: decode buffer and request (Ops capacity reused by
+// json.Unmarshal; JSON only), the per-bank coalescing runs (indexed by
+// bank, `order` listing the banks touched this request in first-touch
+// order), the response with its aligned arrays, the encode buffer
+// (JSON only), and whether a binary frame was a ReadReq.
 type batchScratch struct {
 	body  bytes.Buffer
 	req   BatchRequest
@@ -73,6 +74,7 @@ type batchScratch struct {
 	order []int
 	resp  BatchResponse
 	out   []byte
+	read  bool
 }
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
@@ -87,9 +89,7 @@ func getBatchScratch(banks int) *batchScratch {
 }
 
 // resetRuns clears the per-bank runs touched by the last batch so the
-// scratch can host another one. The JSON path does this once per
-// request on the way back to the pool; the binary connection loop does
-// it per frame, since one scratch lives as long as its connection.
+// scratch can host another one.
 //
 //rbsglint:hotpath
 func resetRuns(sc *batchScratch) {

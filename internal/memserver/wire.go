@@ -42,12 +42,11 @@ import (
 // length-delimited body it cannot interpret and stays in sync).
 // Everything after the version byte is owned by that version; new op
 // kinds or fields mean a new version value, never a silent re-reading
-// of v1 bytes. New frame *type* values are the one additive escape
-// hatch: a server that predates a type cannot misread it — it answers
-// a typed malformed-frame Err and keeps the connection — so a client
-// probing a new type gets an explicit signal to fall back to the
-// frames the server does speak (BinaryClient.ReadBatch falls back to a
-// full BatchReq of reads this way).
+// of v1 bytes. That makes Err unsupported-version the one version-skew
+// signal: every version-1 server speaks every frame type defined here,
+// so there is no feature probing and no client fallback to manage. A
+// frame type a server does not know is a typed malformed-frame Err,
+// and the connection stays up.
 //
 // Op records are fixed width (wireOpSize bytes), so the decoder indexes
 // the request payload directly — no reflection, no per-op allocation —
@@ -62,21 +61,21 @@ import (
 // regression test pins this).
 
 const (
-	// wireVersion is the protocol version this build speaks.
-	wireVersion = 1
+	// WireVersion is the protocol version this build speaks.
+	WireVersion = 1
 
-	// wireMaxBody bounds one frame body. A length prefix above this is
+	// WireMaxBody bounds one frame body. A length prefix above this is
 	// a hard reject: the server answers with an Err frame and closes
 	// the connection, since it will not stream-skip an attacker-sized
 	// body to stay in sync.
-	wireMaxBody = 1 << 20
+	WireMaxBody = 1 << 20
 
 	// wireMaxOps bounds the ops in one batch frame (it is what
-	// wireMaxBody admits, stated in ops).
-	wireMaxOps = (wireMaxBody - wireHdrSize - 4) / wireOpSize
+	// WireMaxBody admits, stated in ops).
+	wireMaxOps = (WireMaxBody - WireHdrSize - 4) / wireOpSize
 
-	// wireHdrSize is the body prelude: version byte + type byte.
-	wireHdrSize = 2
+	// WireHdrSize is the body prelude: version byte + type byte.
+	WireHdrSize = 2
 
 	// wireOpSize is one fixed-width op record: u64 line, u8 flags
 	// (bit 0 = read), u8 content class.
@@ -89,38 +88,42 @@ const (
 	wireReadOpSize = 8
 
 	// wireMaxReadOps bounds the ops in one read-batch frame.
-	wireMaxReadOps = (wireMaxBody - wireHdrSize - 4) / wireReadOpSize
+	wireMaxReadOps = (WireMaxBody - WireHdrSize - 4) / wireReadOpSize
 )
 
-// Frame types.
+// Frame types (body[1]).
 const (
-	frameBatchReq  = 0x01 // client → server: a batch of ops
-	frameBatchResp = 0x02 // server → client: per-op latencies + accounting
-	frameNack      = 0x03 // server → client: backpressure (429 + Retry-After equivalent)
-	frameErr       = 0x04 // server → client: typed error
-	frameReadReq   = 0x05 // client → server: a batch of reads (streaming read-mostly mode)
-	frameReadResp  = 0x06 // server → client: data bytes + accounting, no per-op ns echo
+	FrameBatchReq  = 0x01 // client → server: a batch of ops
+	FrameBatchResp = 0x02 // server → client: per-op latencies + accounting
+	FrameNack      = 0x03 // server → client: backpressure (429 + Retry-After equivalent)
+	FrameErr       = 0x04 // server → client: typed error
+	FrameReadReq   = 0x05 // client → server: a batch of reads (streaming read-mostly mode)
+	FrameReadResp  = 0x06 // server → client: data bytes + accounting, no per-op ns echo
 )
 
 // Err frame codes. The name table keeps client-surfaced errors
 // listable: an unknown code still renders, a known one names itself.
 const (
-	wireErrVersion   = 0x01 // frame version not spoken by this server
-	wireErrMalformed = 0x02 // frame failed structural decode
-	wireErrTooLarge  = 0x03 // length prefix above wireMaxBody (connection closes)
-	wireErrBadOp     = 0x04 // op failed semantic validation (line range / content class)
-	wireErrDraining  = 0x05 // server is draining; no more work accepted
-	wireErrEmpty     = 0x06 // batch carried zero ops
+	WireErrVersion   = 0x01 // frame version not spoken by this server
+	WireErrMalformed = 0x02 // frame failed structural decode
+	WireErrTooLarge  = 0x03 // length prefix above WireMaxBody (connection closes)
+	WireErrBadOp     = 0x04 // op failed semantic validation (line range / content class)
+	WireErrDraining  = 0x05 // server is draining; no more work accepted
+	WireErrEmpty     = 0x06 // batch carried zero ops
 )
+
+// NackRetryAfterSecs is the Retry-After a server's own Nack frames
+// carry (the JSON API's Retry-After header value).
+const NackRetryAfterSecs = 1
 
 // wireErrName maps Err codes to stable names (client error listings).
 var wireErrName = map[uint16]string{
-	wireErrVersion:   "unsupported-version",
-	wireErrMalformed: "malformed-frame",
-	wireErrTooLarge:  "frame-too-large",
-	wireErrBadOp:     "bad-op",
-	wireErrDraining:  "draining",
-	wireErrEmpty:     "empty-batch",
+	WireErrVersion:   "unsupported-version",
+	WireErrMalformed: "malformed-frame",
+	WireErrTooLarge:  "frame-too-large",
+	WireErrBadOp:     "bad-op",
+	WireErrDraining:  "draining",
+	WireErrEmpty:     "empty-batch",
 }
 
 // WireError is an Err frame surfaced by the binary client. It is a
@@ -137,7 +140,7 @@ func (e *WireError) Error() string {
 		name = fmt.Sprintf("code-%d", e.Code)
 	}
 	known := "known codes:"
-	for c := uint16(1); c <= wireErrEmpty; c++ {
+	for c := uint16(1); c <= WireErrEmpty; c++ {
 		if n, ok := wireErrName[c]; ok {
 			known += " " + n
 		}
@@ -145,18 +148,18 @@ func (e *WireError) Error() string {
 	return fmt.Sprintf("binary wire error %s: %s (%s)", name, e.Msg, known)
 }
 
-// appendFrame wraps a finished body with its length prefix. The body
+// AppendFrame wraps a finished body with its length prefix. The body
 // must already start with the version and type bytes.
-func appendFrame(b, body []byte) []byte {
+func AppendFrame(b, body []byte) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(body)))
 	return append(b, body...)
 }
 
-// appendBatchReqBody appends the body (version|type|payload) of a batch
-// request for ops. The caller frames it with appendFrame or by
+// AppendBatchReqBody appends the body (version|type|payload) of a batch
+// request for ops. The caller frames it with AppendFrame or by
 // reserving the prefix itself.
-func appendBatchReqBody(b []byte, version uint8, ops []BatchOp) []byte {
-	b = append(b, version, frameBatchReq)
+func AppendBatchReqBody(b []byte, version uint8, ops []BatchOp) []byte {
+	b = append(b, version, FrameBatchReq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(ops)))
 	for _, o := range ops {
 		b = binary.LittleEndian.AppendUint64(b, o.Line)
@@ -173,35 +176,41 @@ func appendBatchReqBody(b []byte, version uint8, ops []BatchOp) []byte {
 // ops[:0], capacity reused). It is the zero-copy hot decode: fixed
 // offsets into payload, no reads past len(payload), and nothing
 // allocated on any reject path (the returned code is the entire error).
+// A structurally sound payload with an op outside the line space or
+// the content classes decodes whole and reports WireErrBadOp.
 //
 //rbsglint:hotpath
-func decodeBatchReq(payload []byte, ops []BatchOp) ([]BatchOp, uint16) {
+func decodeBatchReq(payload []byte, ops []BatchOp, lines uint64) ([]BatchOp, uint16) {
 	ops = ops[:0]
 	if len(payload) < 4 {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	if count == 0 {
-		return ops, wireErrEmpty
+		return ops, WireErrEmpty
 	}
 	if uint64(count) > wireMaxOps {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
 	rest := payload[4:]
 	if uint64(len(rest)) != uint64(count)*wireOpSize {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
+	bad := false
 	for off := 0; off < len(rest); off += wireOpSize {
 		rec := rest[off : off+wireOpSize]
 		flags := rec[8]
 		if flags > 1 {
-			return ops[:0], wireErrMalformed
+			return ops[:0], WireErrMalformed
 		}
-		ops = append(ops, BatchOp{
-			Line: binary.LittleEndian.Uint64(rec),
-			Read: flags == 1,
-			Data: rec[9],
-		})
+		o := BatchOp{Line: binary.LittleEndian.Uint64(rec), Read: flags == 1, Data: rec[9]}
+		if o.Line >= lines || o.Data > 2 {
+			bad = true
+		}
+		ops = append(ops, o)
+	}
+	if bad {
+		return ops, WireErrBadOp
 	}
 	return ops, 0
 }
@@ -228,7 +237,7 @@ func appendBatchRespPayload(b []byte, r *BatchResponse) []byte {
 // payload into r, reusing r's slice capacity.
 func decodeBatchRespPayload(payload []byte, r *BatchResponse) uint16 {
 	if len(payload) < 28 {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Applied = int(binary.LittleEndian.Uint32(payload))
 	r.Rejected = int(binary.LittleEndian.Uint32(payload[4:]))
@@ -237,7 +246,7 @@ func decodeBatchRespPayload(payload []byte, r *BatchResponse) uint16 {
 	count := binary.LittleEndian.Uint32(payload[24:])
 	rest := payload[28:]
 	if uint64(len(rest)) != uint64(count)*wireResSize {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Ns = resizeZeroed(r.Ns, int(count))
 	r.Data = resizeZeroed(r.Data, int(count))
@@ -249,15 +258,89 @@ func decodeBatchRespPayload(payload []byte, r *BatchResponse) uint16 {
 	return 0
 }
 
-// appendErrBody appends a complete Err frame body. Messages are static
-// strings chosen by code so the reject path composes nothing.
+// AppendErrFrame appends a complete Err frame, length prefix
+// included. Messages are static strings chosen by code so the reject
+// path composes nothing.
 //
 //rbsglint:hotpath
-func appendErrBody(b []byte, code uint16, msg string) []byte {
-	b = append(b, wireVersion, frameErr)
-	b = binary.LittleEndian.AppendUint16(b, code)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(msg)))
-	return append(b, msg...)
+func AppendErrFrame(dst []byte, code uint16, msg string) []byte {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, WireVersion, FrameErr)
+	dst = binary.LittleEndian.AppendUint16(dst, code)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(msg)))
+	dst = append(dst, msg...)
+	return finishFrame(dst, start)
+}
+
+// AppendResponse appends the complete response frame, length prefix
+// included, answering a request frame that executed: a ReadResp for a
+// read frame, a BatchResp otherwise, or, when nack is set, a Nack
+// carrying retryAfterSecs ahead of that same payload.
+//
+//rbsglint:hotpath
+func AppendResponse(dst []byte, r *BatchResponse, read, nack bool, retryAfterSecs uint32) []byte {
+	start := len(dst)
+	typ := byte(FrameBatchResp)
+	if read {
+		typ = FrameReadResp
+	}
+	if nack {
+		typ = FrameNack
+	}
+	dst = append(dst, 0, 0, 0, 0, WireVersion, typ)
+	if nack {
+		dst = binary.LittleEndian.AppendUint32(dst, retryAfterSecs)
+	}
+	if read {
+		dst = appendReadRespPayload(dst, r)
+	} else {
+		dst = appendBatchRespPayload(dst, r)
+	}
+	return finishFrame(dst, start)
+}
+
+// finishFrame fills in the length prefix of the frame that starts at
+// dst[start:].
+//
+//rbsglint:hotpath
+func finishFrame(dst []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(dst)-start-4))
+	return dst
+}
+
+// DecodeFrame decodes and validates one request frame body into ops
+// (capacity reused): the version, the frame type, the payload
+// structure, and every op's line (below lines) and content class. A
+// non-zero code rejects the whole frame before anything executes; msg
+// is the Err frame's detail line. read reports a ReadReq frame.
+//
+//rbsglint:hotpath
+func DecodeFrame(body []byte, ops []BatchOp, lines uint64) (_ []BatchOp, read bool, code uint16, msg string) {
+	if len(body) < WireHdrSize {
+		return ops[:0], false, WireErrMalformed, "frame body under header size"
+	}
+	if body[0] != WireVersion {
+		// The frame was length-delimited, so framing is intact: a typed
+		// Err answers the skew and the connection stays up.
+		return ops[:0], false, WireErrVersion, "server speaks version 1"
+	}
+	switch body[1] {
+	case FrameBatchReq:
+		ops, code = decodeBatchReq(body[WireHdrSize:], ops, lines)
+	case FrameReadReq:
+		read = true
+		ops, code = decodeReadReqOps(body[WireHdrSize:], ops, lines)
+	default:
+		return ops[:0], false, WireErrMalformed, "frame type not batch-req or read-req"
+	}
+	switch code {
+	case 0:
+		return ops, read, 0, ""
+	case WireErrBadOp:
+		return ops, read, code, "op line out of space or content class not in {0,1,2}"
+	default:
+		return ops, read, code, "batch payload failed decode"
+	}
 }
 
 // ReadBatchResponse answers a streaming read batch (ReadReq frame):
@@ -276,7 +359,7 @@ type ReadBatchResponse struct {
 // appendReadReqBody appends the body (version|type|payload) of a
 // read-batch request for lines.
 func appendReadReqBody(b []byte, version uint8, lines []uint64) []byte {
-	b = append(b, version, frameReadReq)
+	b = append(b, version, FrameReadReq)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(lines)))
 	for _, l := range lines {
 		b = binary.LittleEndian.AppendUint64(b, l)
@@ -286,30 +369,36 @@ func appendReadReqBody(b []byte, version uint8, lines []uint64) []byte {
 
 // decodeReadReqOps parses a ReadReq payload into read ops (appended to
 // ops[:0], capacity reused) so the batch engine runs them unchanged:
-// every decoded op has Read set and Data zero.
+// every decoded op has Read set and Data zero. A line outside the line
+// space reports WireErrBadOp, as in decodeBatchReq.
 //
 //rbsglint:hotpath
-func decodeReadReqOps(payload []byte, ops []BatchOp) ([]BatchOp, uint16) {
+func decodeReadReqOps(payload []byte, ops []BatchOp, lines uint64) ([]BatchOp, uint16) {
 	ops = ops[:0]
 	if len(payload) < 4 {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
 	count := binary.LittleEndian.Uint32(payload)
 	if count == 0 {
-		return ops, wireErrEmpty
+		return ops, WireErrEmpty
 	}
 	if uint64(count) > wireMaxReadOps {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
 	rest := payload[4:]
 	if uint64(len(rest)) != uint64(count)*wireReadOpSize {
-		return ops, wireErrMalformed
+		return ops, WireErrMalformed
 	}
+	bad := false
 	for off := 0; off < len(rest); off += wireReadOpSize {
-		ops = append(ops, BatchOp{
-			Line: binary.LittleEndian.Uint64(rest[off : off+wireReadOpSize]),
-			Read: true,
-		})
+		line := binary.LittleEndian.Uint64(rest[off : off+wireReadOpSize])
+		if line >= lines {
+			bad = true
+		}
+		ops = append(ops, BatchOp{Line: line, Read: true})
+	}
+	if bad {
+		return ops, WireErrBadOp
 	}
 	return ops, 0
 }
@@ -331,7 +420,7 @@ func appendReadRespPayload(b []byte, r *BatchResponse) []byte {
 // payload into r, reusing r's slice capacity.
 func decodeReadRespPayload(payload []byte, r *ReadBatchResponse) uint16 {
 	if len(payload) < 28 {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Applied = int(binary.LittleEndian.Uint32(payload))
 	r.Rejected = int(binary.LittleEndian.Uint32(payload[4:]))
@@ -340,7 +429,7 @@ func decodeReadRespPayload(payload []byte, r *ReadBatchResponse) uint16 {
 	count := binary.LittleEndian.Uint32(payload[24:])
 	rest := payload[28:]
 	if uint64(len(rest)) != uint64(count) {
-		return wireErrMalformed
+		return WireErrMalformed
 	}
 	r.Data = resizeZeroed(r.Data, int(count))
 	copy(r.Data, rest)

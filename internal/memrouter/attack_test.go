@@ -161,6 +161,9 @@ func TestRouterRTAMatchesDirect(t *testing.T) {
 				ctl, m["memctld_demand_writes_total"], m["memctld_demand_reads_total"])
 		}
 	}
-	t.Logf("router RTA: %d writes (align %d, detect %d, wear %d), direct identical",
-		rres.Writes, ra.AlignmentWrites, ra.DetectionWrites, ra.WearWrites)
+	// Pin the absolute cost too, so a drift shared by both legs fails.
+	if rres.Writes != 3647 || ra.AlignmentWrites != 316 || ra.DetectionWrites != 2840 || ra.WearWrites != 491 {
+		t.Fatalf("router RTA cost %d writes (align %d, detect %d, wear %d), want 3647 (align 316, detect 2840, wear 491)",
+			rres.Writes, ra.AlignmentWrites, ra.DetectionWrites, ra.WearWrites)
+	}
 }

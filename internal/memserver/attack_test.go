@@ -116,8 +116,7 @@ func TestWireRTARecoversSequence(t *testing.T) {
 	if m["memctld_failed_lines"] == 0 {
 		t.Fatal("wear-out phase did not register a failed line in /metrics")
 	}
-	t.Logf("wire RTA: %d writes (align %d, detect %d, wear %d)",
-		res.Writes, a.AlignmentWrites, a.DetectionWrites, a.WearWrites)
+	checkWireRTACost(t, "wire", a, res)
 }
 
 // groundTruthSequence mirrors the helper in internal/attack's tests:

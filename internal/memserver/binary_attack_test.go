@@ -63,6 +63,18 @@ func runRTA(t *testing.T, target attack.Target, oracle func() bool) (*attack.RTA
 	return a, res
 }
 
+// checkWireRTACost pins the wire-level RTA's write cost at the 256-line
+// configuration: 3647 writes in all (align 316, detect 2840, wear 491).
+// The count is a pure function of the serialized latencies, so any drift
+// means a transport or attack change altered the side channel.
+func checkWireRTACost(t *testing.T, via string, a *attack.RTARBSG, res attack.Result) {
+	t.Helper()
+	if res.Writes != 3647 || a.AlignmentWrites != 316 || a.DetectionWrites != 2840 || a.WearWrites != 491 {
+		t.Fatalf("%s RTA cost %d writes (align %d, detect %d, wear %d), want 3647 (align 316, detect 2840, wear 491)",
+			via, res.Writes, a.AlignmentWrites, a.DetectionWrites, a.WearWrites)
+	}
+}
+
 // TestBinaryRTARecoversSequence runs the RTA over the binary listener
 // and then pins transport equivalence: a second, identically seeded
 // server attacked over JSON must cost the attacker exactly the same
@@ -116,8 +128,7 @@ func TestBinaryRTARecoversSequence(t *testing.T) {
 			bres.Writes, ba.AlignmentWrites, ba.DetectionWrites, ba.WearWrites,
 			jres.Writes, ja.AlignmentWrites, ja.DetectionWrites, ja.WearWrites)
 	}
-	t.Logf("binary RTA: %d writes (align %d, detect %d, wear %d), json identical",
-		bres.Writes, ba.AlignmentWrites, ba.DetectionWrites, ba.WearWrites)
+	checkWireRTACost(t, "binary", ba, bres)
 }
 
 // TestBinaryAdaptiveEscalates: the detector-driven level controller

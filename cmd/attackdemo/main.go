@@ -126,6 +126,7 @@ func demoRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
 		fmt.Fprintln(os.Stderr, "attack error:", err)
 		os.Exit(1)
 	}
+	res.FailedPA, _, _ = c.Bank().FirstFailure() // the oracle cannot name the line
 	fmt.Printf("\nphase 1 — alignment: %d writes to pin Li=%d's physical slot\n",
 		a.AlignmentWrites, li)
 	fmt.Printf("phase 2 — sequence detection: %d writes recovered the %d logical\n",
@@ -189,6 +190,7 @@ func demoSR(bankCfg pcm.Config, lines, li uint64) {
 		fmt.Fprintln(os.Stderr, "attack error:", err)
 		os.Exit(1)
 	}
+	res.FailedPA, _, _ = c.Bank().FirstFailure()
 	fmt.Printf("\nalignment: %d writes to catch address 0's swap (2·read+SET+RESET = 1375 ns)\n",
 		a.AlignWrites)
 	fmt.Printf("key detection: %d writes across %d rounds; recovered keyc⊕keyp values: %#x\n",
@@ -224,7 +226,8 @@ func demoSecurityRBSG(bankCfg pcm.Config, lines, regions, interval, li uint64) {
 		fmt.Printf("RBSG attack relies on, so its shadow model breaks down)\n")
 	}
 	if res.Failed {
-		fmt.Printf("UNEXPECTED: device failed at PA %d\n", res.FailedPA)
+		pa, _, _ := c.Bank().FirstFailure()
+		fmt.Printf("UNEXPECTED: device failed at PA %d\n", pa)
 		os.Exit(1)
 	}
 	fmt.Printf("no line failed after %d attacker writes; even with unlimited budget,\n", res.Writes)

@@ -174,6 +174,7 @@ func runExact(lines, endurance, regions, interval, seed uint64, workers int) err
 	if !res.Failed {
 		return fmt.Errorf("attack issued %d writes without failing the device", res.Writes)
 	}
+	res.FailedPA, _, _ = c.Bank().FirstFailure() // the oracle cannot name the line
 
 	simWrites := c.Bank().TotalWrites()
 	secs := float64(res.AttackNs) * 1e-9

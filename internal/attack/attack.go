@@ -7,9 +7,10 @@
 //   - RTA, the Remapping Timing Attack introduced by the paper: craft
 //     ALL-0/ALL-1 write patterns and watch per-write latency to catch the
 //     scheme's remapping movements, recovering mapping secrets one bit at
-//     a time. Variants target RBSG (rta_rbsg.go) and Security Refresh
-//     (rta_sr.go), and rta_srbsg.go shows the attempt failing against
-//     Security RBSG.
+//     a time. Variants target RBSG (rta_rbsg.go), one-level Security
+//     Refresh (rta_sr.go) and two-level Security Refresh (rta_sr2.go),
+//     all on one timed-target driver (driver.go). Run unchanged against
+//     Security RBSG, the RBSG variant fails to pin a line.
 //
 // Attackers interact with memory only through the Target interface —
 // logical reads and writes with observed latency — which is exactly the
@@ -38,9 +39,9 @@ type Target interface {
 // differs from an unremarkable write's — exactly the anomalies the RTA
 // watches — so batching loses nothing of the side channel. Attacks that
 // detect this capability evaluate their Oracle and MaxWrites budget at
-// batch boundaries instead of before every write; the batch helpers
-// below keep that exact for the device-failure oracle (the only oracle
-// the repo's experiments use) via stopOnFail.
+// batch boundaries instead of before every write; driver.run keeps that
+// exact for the device-failure oracle (the only oracle the repo's
+// experiments use) via stopOnFail.
 type BatchTarget interface {
 	Target
 	WriteRun(la uint64, content pcm.Content, n uint64, stopOnFail bool, onEvent func(i, ns uint64) bool) (issued, totalNs uint64)

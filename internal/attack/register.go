@@ -105,19 +105,25 @@ func init() {
 		},
 		Prepare: prepareRTA,
 		RunExact: func(env *registry.Env) (registry.Result, error) {
+			// start-gap, rbsg, rbsg+detector, security-rbsg and
+			// srbsg-adaptive all face the RBSG shadow model — for the
+			// hardened three that is the point: the attacker wrongly
+			// models the victim as plain RBSG and the cell records
+			// whether that breaks.
+			run := runRTARBSG
 			switch env.Scheme.Name {
 			case "security-refresh":
-				return runRTASR(env)
+				run = runRTASR
 			case "two-level-sr":
-				return runRTATwoLevel(env)
-			default:
-				// start-gap, rbsg, rbsg+detector, security-rbsg and
-				// srbsg-adaptive all face the RBSG shadow model — for the
-				// hardened three that is the point: the attacker wrongly
-				// models the victim as plain RBSG and the cell records
-				// whether that breaks.
-				return runRTARBSG(env)
+				run = runRTATwoLevel
 			}
+			out, err := run(env)
+			if out.Failed {
+				// The RTA's oracle only reports that some line failed;
+				// the bank knows which.
+				out.FailedPA, _, _ = env.Controller.Bank().FirstFailure()
+			}
+			return out, err
 		},
 	})
 }

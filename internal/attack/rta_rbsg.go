@@ -71,7 +71,7 @@ type RTARBSG struct {
 	seqBits  []uint64 // recovered LA bits per offset (index 0 unused)
 	seqKnown []uint64 // bitmask of recovered bit positions per offset
 
-	res Result
+	driver
 	// Diagnostics filled in by Run.
 	AlignmentWrites uint64
 	DetectionWrites uint64
@@ -80,18 +80,13 @@ type RTARBSG struct {
 
 const relUnknown = int64(-1)
 
-// errStopped aborts phases when the oracle or budget fires.
-var errStopped = errors.New("attack stopped")
-
 // Run executes the full attack and reports the result. Sequence recovery
 // diagnostics remain available on the receiver afterwards.
 func (a *RTARBSG) Run() (Result, error) {
 	if a.Lines == 0 || a.Regions == 0 || a.Lines%a.Regions != 0 || a.Interval == 0 {
 		return Result{}, fmt.Errorf("attack: bad RBSG parameters N=%d R=%d ψ=%d", a.Lines, a.Regions, a.Interval)
 	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
-	}
+	a.start(a.Target, a.Timing, a.MaxWrites, a.Oracle)
 	a.n = a.Lines / a.Regions
 	if a.SeqLen == 0 || a.SeqLen > a.n-1 {
 		a.SeqLen = a.n - 1
@@ -121,45 +116,10 @@ func (a *RTARBSG) Run() (Result, error) {
 	return a.res, a.finish(err)
 }
 
-// finish normalizes the sentinel stop error.
-func (a *RTARBSG) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-// write issues one attacker write and returns the latency beyond the
-// demand write itself (the remapping side channel).
-func (a *RTARBSG) write(la uint64, c pcm.Content) (extraNs uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, errStopped
-	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	return ns - a.Timing.WriteNs(c), nil
-}
-
-// tickRegion advances the shadow by one write to the target region and
-// applies the shadow gap movement when the interval elapses. It returns
-// whether a movement fired and which slot it vacated.
-func (a *RTARBSG) tickRegion() (moved bool, srcSlot uint64) {
-	a.cnt++
-	if a.cnt < a.Interval {
-		return false, 0
-	}
-	a.cnt = 0
-	return true, a.shadowMove()
-}
-
 // tickN advances the shadow by k region writes at once, where at most the
-// k-th can reach the interval (k ≤ Interval − cnt) — the O(1) equivalent
-// of k tickRegion calls within one inter-movement epoch.
+// k-th can reach the interval (k ≤ Interval − cnt), and applies the
+// shadow gap movement when the interval elapses. It returns whether a
+// movement fired and which slot it vacated.
 func (a *RTARBSG) tickN(k uint64) (moved bool, srcSlot uint64) {
 	a.cnt += k
 	if a.cnt < a.Interval {
@@ -176,83 +136,9 @@ func (a *RTARBSG) tickN(k uint64) (moved bool, srcSlot uint64) {
 // remaining until the next shadow movement, so only the k-th write can
 // carry a movement) and advances the shadow in lock-step. It returns the
 // last write's extra latency and the movement it fired, if any.
-//
-// When the target implements BatchTarget the run is batched and the
-// Oracle/MaxWrites checks the naive loop makes before every write happen
-// at batch boundaries instead. This is exact for the device-failure
-// oracle: WriteRun's stopOnFail truncates the batch immediately after the
-// bank's first failure — precisely the write after which the naive loop's
-// next precheck would have stopped — and the budget clamp truncates at
-// the same write the per-write budget check would. Other oracles observe
-// batch-boundary granularity (documented on RTARBSG.Oracle).
 func (a *RTARBSG) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, moved bool, srcSlot uint64, err error) {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			e, werr := a.write(la, c)
-			if werr != nil {
-				return 0, false, 0, werr
-			}
-			extra = e
-			if m, s := a.tickRegion(); m {
-				moved, srcSlot = true, s
-			}
-		}
-		return extra, moved, srcSlot, nil
-	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, errStopped
-	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return 0, false, 0, errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
-	}
-	var issued uint64
-	for issued < want {
-		// The naive loop's extra is the LAST write's extra latency — not
-		// that of any anomalous write mid-run (against schemes whose real
-		// movements the attack's shadow mispredicts, those differ). Track
-		// events by index and keep one only if it landed on the run's
-		// final write.
-		var evIdx, evNs uint64
-		sawEvent := false
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, func(i, ns uint64) bool {
-			evIdx, evNs, sawEvent = i, ns, true
-			return true
-		})
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		extra = 0
-		if sawEvent && evIdx == got-1 {
-			extra = evNs - a.Timing.WriteNs(c)
-		}
-		if issued == want {
-			break
-		}
-		// stopOnFail truncated the run at the bank's first failure; the
-		// naive loop's next per-write precheck would now observe it.
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-		// The oracle does not consider the failure fatal: resume the
-		// batch (a bank first-fails at most once, so stopOnFail cannot
-		// truncate again).
-	}
-	if m, s := a.tickN(issued); m {
-		moved, srcSlot = true, s
-	}
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted mid-epoch, like the naive precheck
-	}
+	issued, extra, err := a.run(la, c, k)
+	moved, srcSlot = a.tickN(issued)
 	return extra, moved, srcSlot, err
 }
 
@@ -288,32 +174,29 @@ func (a *RTARBSG) sweep(bit int) error {
 	// mid-pass — and the Oracle check moves to the sweep boundary, which
 	// is exact for the device-failure oracle because the target declines
 	// (ok=false) whenever a line could fail mid-sweep.
-	if st, ok := a.Target.(SweepTarget); ok &&
-		(a.MaxWrites == 0 || a.res.Writes+a.Lines <= a.MaxWrites) {
-		if a.Oracle != nil && a.Oracle() {
-			a.res.Failed = true
-			return errStopped
+	done := false
+	if st, ok := a.target.(SweepTarget); ok &&
+		(a.maxWrites == 0 || a.res.Writes+a.Lines <= a.maxWrites) {
+		if err := a.precheck(); err != nil {
+			return err
 		}
-		if w, ns, done := st.Sweep(bit); done {
+		var w, ns uint64
+		if w, ns, done = st.Sweep(bit); done {
 			a.res.Writes += w
 			a.res.AttackNs += ns
-			for i := uint64(0); i < a.n; i++ {
-				a.tickRegion()
-			}
-			return nil
 		}
 	}
-	for la := uint64(0); la < a.Lines; la++ {
+	for la := uint64(0); !done && la < a.Lines; la++ {
 		c := pcm.Zeros
-		if bit >= 0 && la>>uint(bit)&1 == 1 {
-			c = pcm.Ones
+		if bit >= 0 {
+			c = patternOf(la, uint(bit))
 		}
 		if _, err := a.write(la, c); err != nil {
 			return err
 		}
 	}
 	for i := uint64(0); i < a.n; i++ {
-		a.tickRegion()
+		a.tickN(1)
 	}
 	return nil
 }
@@ -324,7 +207,7 @@ func (a *RTARBSG) align() error {
 		return err
 	}
 	// Steps 2–3: hammer Li with ALL-1 until a movement costs read+SET.
-	setMove := a.Timing.ReadNs + a.Timing.SetNs
+	setMove := a.timing.ReadNs + a.timing.SetNs
 	deadline := 2 * (a.n + 1) * a.Interval // two full rotations must see Li
 	for i := uint64(0); i < deadline; {
 		// One inter-movement epoch per iteration: only the k-th write can
@@ -394,7 +277,7 @@ func patternOf(la uint64, j uint) pcm.Content {
 // predecessors of Li.
 func (a *RTARBSG) detectSequence() error {
 	bits := addressBits(a.Lines)
-	setMove := a.Timing.ReadNs + a.Timing.SetNs
+	setMove := a.timing.ReadNs + a.timing.SetNs
 	for j := uint(0); j < bits; j++ {
 		if err := a.sweep(int(j)); err != nil { // Step 4: pattern keyed by bit j
 			return err

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"securityrbsg/internal/pcm"
-	"securityrbsg/internal/secref"
-	"securityrbsg/internal/wear"
 )
 
 // RTASR is the Remapping Timing Attack against one-level Security Refresh
@@ -49,7 +47,7 @@ type RTASR struct {
 	roundKnown bool   // D recovered for the current round
 	d          uint64 // keyc XOR keyp of the current round
 
-	res Result
+	driver
 	// Diagnostics
 	AlignWrites  uint64
 	DetectWrites uint64
@@ -65,12 +63,10 @@ func (a *RTASR) Run() (Result, error) {
 	if a.Lines == 0 || a.Lines&(a.Lines-1) != 0 || a.Interval == 0 {
 		return Result{}, fmt.Errorf("attack: bad SR parameters N=%d ψ=%d", a.Lines, a.Interval)
 	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
-	}
 	if a.Li == 0 || a.Li >= a.Lines {
 		return Result{}, fmt.Errorf("attack: Li must be in [1, N), got %d", a.Li)
 	}
+	a.start(a.Target, a.Timing, a.MaxWrites, a.Oracle)
 	a.crp = a.Lines // boot state: previous round complete
 
 	if err := a.align(); err != nil {
@@ -81,37 +77,11 @@ func (a *RTASR) Run() (Result, error) {
 	return a.res, a.finish(err)
 }
 
-func (a *RTASR) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-func (a *RTASR) write(la uint64, c pcm.Content) (extraNs uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, errStopped
-	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	return ns - a.Timing.WriteNs(c), nil
-}
-
-// tick advances the shadow by one write; it returns whether a refresh step
-// fired and the logical address it processed (the CRP value before the
-// advance). newRound reports that the step began a fresh round (keys
-// rotated just before processing address 0).
-func (a *RTASR) tick() (stepped bool, la uint64, newRound bool) {
-	return a.tickN(1)
-}
-
 // tickN advances the shadow by k writes at once, where at most the k-th
-// can reach the interval (k ≤ Interval − cnt).
+// can reach the interval (k ≤ Interval − cnt). It returns whether a
+// refresh step fired and the logical address it processed (the CRP value
+// before the advance). newRound reports that the step began a fresh
+// round (keys rotated just before processing address 0).
 func (a *RTASR) tickN(k uint64) (stepped bool, la uint64, newRound bool) {
 	a.cnt += k
 	if a.cnt < a.Interval {
@@ -135,66 +105,10 @@ func (a *RTASR) tickN(k uint64) (stepped bool, la uint64, newRound bool) {
 // writeN issues k consecutive writes of c to la (1 ≤ k ≤ Interval − cnt,
 // so only the k-th write can carry a refresh step) and advances the
 // shadow in lock-step, returning the last write's extra latency and the
-// step it fired, if any. Batch-boundary Oracle/budget semantics are the
-// same as RTARBSG.writeN's (exact for the device-failure oracle).
+// step it fired, if any.
 func (a *RTASR) writeN(la uint64, c pcm.Content, k uint64) (extra uint64, stepped bool, stepLA uint64, newRound bool, err error) {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			e, werr := a.write(la, c)
-			if werr != nil {
-				return 0, false, 0, false, werr
-			}
-			extra = e
-			if s, sla, nr := a.tick(); s {
-				stepped, stepLA, newRound = true, sla, nr
-			}
-		}
-		return extra, stepped, stepLA, newRound, nil
-	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, false, errStopped
-	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return 0, false, 0, false, errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
-	}
-	var issued uint64
-	for issued < want {
-		// Keep only an anomaly that landed on the run's final write: the
-		// naive loop reads the LAST write's extra, not a mid-run one.
-		var evIdx, evNs uint64
-		sawEvent := false
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, func(i, ns uint64) bool {
-			evIdx, evNs, sawEvent = i, ns, true
-			return true
-		})
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		extra = 0
-		if sawEvent && evIdx == got-1 {
-			extra = evNs - a.Timing.WriteNs(c)
-		}
-		if issued == want {
-			break
-		}
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-	}
+	issued, extra, err := a.run(la, c, k)
 	stepped, stepLA, newRound = a.tickN(issued)
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted, like the naive precheck
-	}
 	return extra, stepped, stepLA, newRound, err
 }
 
@@ -206,9 +120,9 @@ func (a *RTASR) align() error {
 		if _, err := a.write(la, pcm.Zeros); err != nil {
 			return err
 		}
-		a.tick()
+		a.tickN(1)
 	}
-	swapWithOnes := 2*a.Timing.ReadNs + a.Timing.SetNs + a.Timing.ResetNs
+	swapWithOnes := 2*a.timing.ReadNs + a.timing.SetNs + a.timing.ResetNs
 	deadline := 3 * a.Lines * a.Interval
 	for i := uint64(0); i < deadline; {
 		// One inter-step epoch per iteration: only the k-th write can
@@ -231,19 +145,29 @@ func (a *RTASR) align() error {
 			if _, err := a.write(0, pcm.Zeros); err != nil {
 				return err
 			}
-			a.tick()
+			a.tickN(1)
 			return nil
 		}
 	}
 	return errors.New("attack: SR alignment failed — never observed address 0's swap")
 }
 
-// detectD recovers D = keyc XOR keyp for the current round, one bit per
-// pattern sweep (Steps 3–5). It must finish before the round ends; the
-// caller restarts it on a round boundary. Returns errRoundEnded if the
-// round rolled over mid-detection.
+// errRoundEnded reports that the round rolled over mid-detection.
 var errRoundEnded = errors.New("round ended during detection")
 
+// detectRound recovers the current round's D, restarting detection on
+// every round boundary it runs into.
+func (a *RTASR) detectRound() error {
+	for {
+		if err := a.detectD(); !errors.Is(err, errRoundEnded) {
+			return err
+		}
+	}
+}
+
+// detectD recovers D = keyc XOR keyp for the current round, one bit per
+// pattern sweep (Steps 3–5). It must finish before the round ends and
+// returns errRoundEnded if the round rolled over mid-detection.
 func (a *RTASR) detectD() error {
 	bits := addressBits(a.Lines)
 	start := a.res.Writes
@@ -254,7 +178,7 @@ func (a *RTASR) detectD() error {
 			if _, err := a.write(la, patternOf(la, j)); err != nil {
 				return err
 			}
-			if _, _, nr := a.tick(); nr {
+			if _, _, nr := a.tickN(1); nr {
 				return errRoundEnded
 			}
 		}
@@ -273,9 +197,9 @@ func (a *RTASR) detectD() error {
 			if !stepped || extra == 0 {
 				continue // no step, or the step's pair was already done
 			}
-			mixedSwap := 2*a.Timing.ReadNs + a.Timing.SetNs + a.Timing.ResetNs
-			sameSwapLo := 2 * (a.Timing.ReadNs + a.Timing.ResetNs)
-			sameSwapHi := 2 * (a.Timing.ReadNs + a.Timing.SetNs)
+			mixedSwap := 2*a.timing.ReadNs + a.timing.SetNs + a.timing.ResetNs
+			sameSwapLo := 2 * (a.timing.ReadNs + a.timing.ResetNs)
+			sameSwapHi := 2 * (a.timing.ReadNs + a.timing.SetNs)
 			switch extra {
 			case mixedSwap:
 				d |= 1 << j
@@ -299,14 +223,8 @@ func (a *RTASR) detectD() error {
 // pinned physical line through swaps and rounds, re-detecting D each round.
 func (a *RTASR) wearLoop() error {
 	// Recover D for the current round first.
-	for {
-		err := a.detectD()
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, errRoundEnded) {
-			return err
-		}
+	if err := a.detectRound(); err != nil {
+		return err
 	}
 	// Pin the physical line currently under Li.
 	occ := a.Li
@@ -351,137 +269,8 @@ func (a *RTASR) wearLoop() error {
 		// Round rolled over: recover the fresh D, then continue on the
 		// same physical line (its occupant is unchanged at round start).
 		a.WearWrites = a.res.Writes - a.AlignWrites - a.DetectWrites
-		for {
-			err := a.detectD()
-			if err == nil {
-				break
-			}
-			if !errors.Is(err, errRoundEnded) {
-				return err
-			}
+		if err := a.detectRound(); err != nil {
+			return err
 		}
 	}
-}
-
-// RTATwoLevelSR is the Remapping Timing Attack against two-level Security
-// Refresh (Section III-E), reproduced at the paper's level of detail: the
-// paper costs the per-round detection of the outer key's region bits at
-// (N/2..N)·log2(R) writes but gives no step-level algorithm (the bit
-// recovery itself is demonstrated exactly by RTASR at one level). This
-// implementation issues that exact write traffic against the real
-// simulator — pattern sweeps for detection, then hammering of the logical
-// addresses currently mapping into the pinned target sub-region — using a
-// scheme oracle only to stand in for the recovered region bits. The write
-// stream, and therefore the wear and the lifetime, match the paper's
-// attack model.
-type RTATwoLevelSR struct {
-	// Controller is the memory under attack; Scheme must be its TwoLevel
-	// instance (the oracle for recovered outer-region bits).
-	Controller *wear.Controller
-	Scheme     *secref.TwoLevel
-	// TargetRegion is the sub-region to wear out.
-	TargetRegion uint64
-	// DetectFraction c in [0.5, 1]: detection costs c·N·log2(R) writes per
-	// outer round (the paper averages five random keys; the key value
-	// decides where in the range the cost lands).
-	DetectFraction float64
-	// MaxWrites bounds the attack (0 = unbounded).
-	MaxWrites uint64
-
-	res Result
-	// Diagnostics
-	DetectWrites uint64
-	HammerWrites uint64
-	OuterRounds  uint64
-}
-
-// Run executes the attack until a line fails or the budget is exhausted.
-func (a *RTATwoLevelSR) Run() (Result, error) {
-	cfg := a.Scheme.Config()
-	n := a.Scheme.LinesPerRegion()
-	logR := addressBits(cfg.Regions)
-	if a.DetectFraction == 0 {
-		a.DetectFraction = 0.75
-	}
-	detectPerRound := uint64(a.DetectFraction * float64(cfg.Lines) * float64(logR))
-	oracle := failOracle(a.Controller)
-
-	// The set of logical addresses currently mapping into the target
-	// sub-region is one aligned high-bits slice of the logical space,
-	// XOR-shifted by the outer key; the oracle supplies the shift the
-	// detection phase would recover. The scan rotates so successive
-	// stints hammer different addresses (the inner SR then pins each to
-	// a fresh line).
-	scan := uint64(0)
-	nextRegionLA := func() uint64 {
-		for k := uint64(0); k < cfg.Lines; k++ {
-			la := (scan + k) % cfg.Lines
-			if a.Scheme.Intermediate(la)/n == a.TargetRegion {
-				scan = la + 1
-				return la
-			}
-		}
-		panic("attack: outer translation lost the target sub-region") // unreachable: bijection
-	}
-
-	done := func() bool {
-		if pa, ok := oracle(); ok {
-			a.res.Failed = true
-			a.res.FailedPA = pa
-			return true
-		}
-		return a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites
-	}
-
-	outerRound := a.Scheme.Outer().WritesPerRound()
-	for !done() {
-		a.OuterRounds++
-		// Detection traffic: pattern sweeps across the whole space (the
-		// real RTA's Step-3 sweeps), costed per the paper.
-		var spent uint64
-		for spent < detectPerRound && !done() {
-			la := spent % cfg.Lines
-			ns := a.Controller.Write(la, patternOf(la, uint(spent/cfg.Lines)))
-			a.res.Writes++
-			a.res.AttackNs += ns
-			spent++
-		}
-		a.DetectWrites += spent
-		// Hammer phase: cycle through the sub-region's current logical
-		// addresses, one stint at a time, for the rest of the outer
-		// round. Each stint is one inner round of writes, long enough for
-		// the inner SR to pin the address to one physical line; when the
-		// outer level moves an address away mid-stint the attacker
-		// re-resolves a fresh one.
-		stint := n * cfg.InnerInterval
-		var hammered uint64
-		for hammered+spent < outerRound && !done() {
-			la := nextRegionLA()
-			for w := uint64(0); w < stint && !done(); {
-				if a.Scheme.Intermediate(la)/n != a.TargetRegion {
-					break
-				}
-				// Intermediate(la) is frozen until the next outer step, so
-				// the stint batches in outer-epoch chunks through WriteRun
-				// (stopOnFail keeps the failure-time accounting exact; the
-				// budget clamp mirrors the per-write done() check).
-				k := a.Scheme.WritesToNextOuterStep()
-				if rem := stint - w; k > rem {
-					k = rem
-				}
-				if a.MaxWrites > 0 {
-					if rem := a.MaxWrites - a.res.Writes; k > rem {
-						k = rem
-					}
-				}
-				issued, ns := a.Controller.WriteRun(la, pcm.Ones, k, true, nil)
-				a.res.Writes += issued
-				a.res.AttackNs += ns
-				hammered += issued
-				w += issued
-			}
-		}
-		a.HammerWrites += hammered
-	}
-	return a.res, nil
 }

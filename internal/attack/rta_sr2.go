@@ -1,16 +1,16 @@
 package attack
 
 import (
-	"errors"
 	"fmt"
 
 	"securityrbsg/internal/pcm"
 )
 
 // RTATwoLevelSRExact is the Remapping Timing Attack against two-level
-// Security Refresh with *no oracle at all* — the attacker sees only its
-// own writes and their latencies, upgrading RTATwoLevelSR's
-// paper-accounting reproduction to a full end-to-end demonstration.
+// Security Refresh (Section III-E) with *no oracle at all* — the attacker
+// sees only its own writes and their latencies. The paper costs the
+// per-round detection of the outer key's region bits at (N/2..N)·log2(R)
+// writes but gives no step-level algorithm; this is one.
 //
 // Key observations that make the exact attack work:
 //
@@ -72,7 +72,7 @@ type RTATwoLevelSRExact struct {
 	roundsSeen uint64 // outer CRP wraps observed since boot
 	probeSeq   uint64 // rotates the voting probe address across rounds
 
-	res Result
+	driver
 	// Diagnostics
 	DetectWrites uint64
 	FloodWrites  uint64
@@ -90,9 +90,6 @@ func (a *RTATwoLevelSRExact) Run() (Result, error) {
 	if a.Regions == 0 || a.Lines%a.Regions != 0 || a.InnerInterval == 0 || a.OuterInterval == 0 {
 		return Result{}, fmt.Errorf("attack: bad SR parameters")
 	}
-	if a.Timing == (pcm.Timing{}) {
-		a.Timing = pcm.DefaultTiming
-	}
 	if a.VotesPerBit <= 0 {
 		a.VotesPerBit = 9
 	}
@@ -100,9 +97,8 @@ func (a *RTATwoLevelSRExact) Run() (Result, error) {
 		a.VotesPerBit++
 	}
 	a.n = a.Lines / a.Regions
-	for v := a.n; v > 1; v >>= 1 {
-		a.lowBits++
-	}
+	a.lowBits = addressBits(a.n)
+	a.start(a.Target, a.Timing, a.MaxWrites, a.Oracle)
 	a.crp = a.Lines // boot state: previous round complete
 
 	group := a.Group % a.Regions
@@ -127,102 +123,35 @@ func (a *RTATwoLevelSRExact) Run() (Result, error) {
 // group (best effort) and re-synchronizes next round.
 const unknownD = ^uint64(0)
 
-func (a *RTATwoLevelSRExact) finish(err error) error {
-	if errors.Is(err, errStopped) {
-		return nil
-	}
-	return err
-}
-
-// write issues one attacker write, advances the outer shadow, and
+// writeStep issues one attacker write, advances the outer shadow, and
 // returns (extra latency, outer step fired, CRP value it processed).
-func (a *RTATwoLevelSRExact) write(la uint64, c pcm.Content) (extra uint64, stepped bool, stepLA uint64, err error) {
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return 0, false, 0, errStopped
+func (a *RTATwoLevelSRExact) writeStep(la uint64, c pcm.Content) (extra uint64, stepped bool, stepLA uint64, err error) {
+	if extra, err = a.write(la, c); err != nil {
+		return 0, false, 0, err
 	}
-	if a.MaxWrites > 0 && a.res.Writes >= a.MaxWrites {
-		return 0, false, 0, errStopped
-	}
-	ns := a.Target.Write(la, c)
-	a.res.Writes++
-	a.res.AttackNs += ns
-	extra = ns - a.Timing.WriteNs(c)
-	a.cnt++
-	if a.cnt >= a.OuterInterval {
-		a.cnt = 0
-		if a.crp == a.Lines {
-			a.crp = 0
-			a.roundsSeen++
-		}
-		stepLA = a.crp
-		a.crp++
-		stepped = true
-	}
+	stepped, stepLA = a.tickN(1)
 	return extra, stepped, stepLA, nil
 }
 
-// writeN issues k consecutive writes of c to la (1 ≤ k ≤ OuterInterval −
-// cnt, so only the k-th write can carry an outer step) and advances the
-// outer shadow in lock-step. Batch-boundary Oracle/budget semantics are
-// as in RTARBSG.writeN — exact for the device-failure oracle. Extra
-// latencies are not reported: its only caller (the flood phase) never
-// inspects them; the detection phases, which do, stay write-by-write.
-func (a *RTATwoLevelSRExact) writeN(la uint64, c pcm.Content, k uint64) error {
-	bt, batched := a.Target.(BatchTarget)
-	if !batched || k < 2 {
-		for j := uint64(0); j < k; j++ {
-			if _, _, _, err := a.write(la, c); err != nil {
-				return err
-			}
-		}
-		return nil
+// tickN advances the outer shadow by k writes at once, where at most the
+// k-th can reach the interval (k ≤ OuterInterval − cnt). It returns
+// whether an outer step fired and the CRP value it processed.
+func (a *RTATwoLevelSRExact) tickN(k uint64) (stepped bool, stepLA uint64) {
+	a.cnt += k
+	if a.cnt < a.OuterInterval {
+		return false, 0
 	}
-	if a.Oracle != nil && a.Oracle() {
-		a.res.Failed = true
-		return errStopped
+	if a.cnt > a.OuterInterval {
+		panic(fmt.Errorf("attack: tickN(%d) crossed an outer step", k))
 	}
-	want := k
-	if a.MaxWrites > 0 {
-		if a.res.Writes >= a.MaxWrites {
-			return errStopped
-		}
-		if rem := a.MaxWrites - a.res.Writes; want > rem {
-			want = rem
-		}
+	a.cnt = 0
+	if a.crp == a.Lines {
+		a.crp = 0
+		a.roundsSeen++
 	}
-	var issued uint64
-	var err error
-	for issued < want {
-		got, ns := bt.WriteRun(la, c, want-issued, a.Oracle != nil, nil)
-		issued += got
-		a.res.Writes += got
-		a.res.AttackNs += ns
-		if issued == want {
-			break
-		}
-		if a.Oracle() {
-			a.res.Failed = true
-			err = errStopped
-			break
-		}
-	}
-	a.cnt += issued
-	if a.cnt >= a.OuterInterval {
-		if a.cnt > a.OuterInterval {
-			panic(fmt.Errorf("attack: writeN(%d) crossed an outer step", k))
-		}
-		a.cnt = 0
-		if a.crp == a.Lines {
-			a.crp = 0
-			a.roundsSeen++
-		}
-		a.crp++
-	}
-	if err == nil && issued < k {
-		err = errStopped // budget exhausted, like the naive precheck
-	}
-	return err
+	stepLA = a.crp
+	a.crp++
+	return true, stepLA
 }
 
 // detectRoundHighD waits for the round boundary, then recovers the high
@@ -236,7 +165,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 	// waiting writes rotate across the whole space so they add no
 	// hotspot of their own.
 	for w := uint64(0); a.crp != a.Lines && a.crp != 0; w++ {
-		if _, _, _, err := a.write(w%a.Lines, pcm.Zeros); err != nil {
+		if _, _, _, err := a.writeStep(w%a.Lines, pcm.Zeros); err != nil {
 			return 0, err
 		}
 	}
@@ -245,10 +174,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 		epoch++ // the detected round begins on the next step's re-key
 	}
 	var d uint64
-	bits := uint(0)
-	for v := a.Regions; v > 1; v >>= 1 {
-		bits++
-	}
+	bits := addressBits(a.Regions)
 	for j := a.lowBits; j < a.lowBits+bits; j++ {
 		if a.roundsSeen > epoch {
 			// The round rolled over mid-detection (pathological no-swap
@@ -266,7 +192,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			if j > a.lowBits && patternOf(la, j) == patternOf(la, j-1) {
 				continue
 			}
-			if _, _, _, err := a.write(la, patternOf(la, j)); err != nil {
+			if _, _, _, err := a.writeStep(la, patternOf(la, j)); err != nil {
 				return 0, err
 			}
 		}
@@ -293,7 +219,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 		for attempt := 0; attempt < 4 && !calibrated; attempt++ {
 			// Move to just after an outer step.
 			for {
-				_, stepped, _, err := a.write(probe, probeContent)
+				_, stepped, _, err := a.writeStep(probe, probeContent)
 				if err != nil {
 					return 0, err
 				}
@@ -306,7 +232,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			// fires are invisible; ride the longest such run out.
 			scan := a.InnerInterval * (a.n/2 + 2*a.OuterInterval)
 			for w := uint64(0); w < scan; w++ {
-				extra, stepped, _, err := a.write(probe, probeContent)
+				extra, stepped, _, err := a.writeStep(probe, probeContent)
 				if err != nil {
 					return 0, err
 				}
@@ -320,7 +246,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 				// Fires are hiding under outer steps: slip the combs
 				// apart and retry.
 				off := probe ^ (1 << a.lowBits)
-				if _, _, _, err := a.write(off, patternOf(off, j)); err != nil {
+				if _, _, _, err := a.writeStep(off, patternOf(off, j)); err != nil {
 					return 0, err
 				}
 			}
@@ -337,7 +263,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 			off := probe ^ (1 << a.lowBits)
 			offContent := patternOf(off, j)
 			for (a.OuterInterval-a.cnt)%a.InnerInterval == (a.InnerInterval-innerCnt%a.InnerInterval)%a.InnerInterval {
-				if _, _, _, err := a.write(off, offContent); err != nil {
+				if _, _, _, err := a.writeStep(off, offContent); err != nil {
 					return 0, err
 				}
 			}
@@ -345,7 +271,7 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 		votes0, votes1 := 0, 0
 		deadline := 64 * uint64(a.VotesPerBit) * a.OuterInterval
 		for w := uint64(0); w < deadline && votes0+votes1 < a.VotesPerBit; w++ {
-			extra, stepped, k, err := a.write(probe, probeContent)
+			extra, stepped, k, err := a.writeStep(probe, probeContent)
 			if err != nil {
 				return 0, err
 			}
@@ -366,9 +292,9 @@ func (a *RTATwoLevelSRExact) detectRoundHighD() (uint64, error) {
 				continue // collided or no swap: abstain
 			}
 			b := k >> j & 1
-			same := 2 * (a.Timing.ReadNs + a.Timing.WriteNs(pcm.Zeros))
-			sameHi := 2 * (a.Timing.ReadNs + a.Timing.WriteNs(pcm.Ones))
-			mixed := 2*a.Timing.ReadNs + a.Timing.WriteNs(pcm.Zeros) + a.Timing.WriteNs(pcm.Ones)
+			same := 2 * (a.timing.ReadNs + a.timing.WriteNs(pcm.Zeros))
+			sameHi := 2 * (a.timing.ReadNs + a.timing.WriteNs(pcm.Ones))
+			mixed := 2*a.timing.ReadNs + a.timing.WriteNs(pcm.Zeros) + a.timing.WriteNs(pcm.Ones)
 			switch {
 			case b == 0 && extra == same, b == 1 && extra == sameHi:
 				votes0++ // partner matches k's bit: D_j = 0
@@ -404,7 +330,9 @@ func (a *RTATwoLevelSRExact) floodUntilRoundEnd(group uint64) error {
 			if rem := stint - w; k > rem {
 				k = rem
 			}
-			if err := a.writeN(la, pcm.Ones, k); err != nil {
+			issued, _, err := a.run(la, pcm.Ones, k)
+			a.tickN(issued)
+			if err != nil {
 				return err
 			}
 			w += k

@@ -54,6 +54,10 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 	s := secref.MustNewTwoLevel(cfg)
 	c := wear.MustNewController(bankCfg(endurance), s)
 	spy := &outerSpy{c: c, s: s}
+	// Group 0 (logical lines [0, n)) occupies this physical sub-region
+	// at boot; the attack tracks it across rounds by relative key bits.
+	n := s.LinesPerRegion()
+	pinned := s.Intermediate(0) / n
 	a := &RTATwoLevelSRExact{
 		Target: spy,
 		Lines:  lines, Regions: regions,
@@ -69,6 +73,10 @@ func TestRTATwoLevelSRExact(t *testing.T) {
 	}
 	if len(a.RecoveredHighDs) == 0 {
 		t.Fatal("no key bits recovered")
+	}
+	// The failed line must lie inside the sub-region pinned at boot.
+	if pa, _, _ := c.Bank().FirstFailure(); pa/n != pinned {
+		t.Fatalf("failed PA %d lies in sub-region %d, outside the pinned sub-region %d", pa, pa/n, pinned)
 	}
 
 	// Ground truth: spy.ds[0] is the boot D (0); the attack's i-th

@@ -165,14 +165,6 @@ func (s *TwoLevel) SkipWrites(la, k uint64) {
 	s.outer.skip(k)
 }
 
-// WritesToNextOuterStep returns how many bank writes remain until the
-// outer level's next refresh step (every bank write ticks the outer
-// domain, so this is address-independent). The outer translation — and
-// with it Intermediate(la) for every la — is frozen for that many minus
-// one writes; attackers batching hammer stints use it as the bound past
-// which an address may migrate between sub-regions.
-func (s *TwoLevel) WritesToNextOuterStep() uint64 { return s.outer.writesToNextStep() }
-
 // outerStep performs one outer refresh step, routing the data movement
 // through the inner translation so the swap touches the correct physical
 // lines.

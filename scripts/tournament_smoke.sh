@@ -4,8 +4,10 @@
 #
 # Plays the full registered scheme×attack matrix through cmd/tournament
 # at 2^10 lines, asserts that every playable cell of the plugin registry
-# completed, and proves the checkpoint/resume path by re-running the
-# grid and requiring a byte-identical CSV. The output directory can be
+# completed, requires the CSV to equal the committed golden
+# results/tournament_smoke.csv (so any change in an attack's write count
+# fails), and proves the checkpoint/resume path by re-running the grid
+# and requiring a byte-identical CSV. The output directory can be
 # pinned with TOURNAMENT_OUT (CI does, to upload the CSV as an
 # artifact); otherwise everything lands in a temp dir.
 set -euo pipefail
@@ -41,6 +43,14 @@ done_rows=$(tail -n +2 "$out/tournament.csv" | awk -F, -v c="$status_col" '$c ==
 echo "== $done_rows/$rows cells done ($expected registered)"
 [ "$rows" -eq "$expected" ] || { echo "FAIL: CSV has $rows cells, registry plays $expected"; exit 1; }
 [ "$done_rows" -eq "$expected" ] || { echo "FAIL: only $done_rows/$expected cells completed"; exit 1; }
+
+# The golden pins the default geometry; overridden sizes skip it.
+golden=results/tournament_smoke.csv
+if [ "$LINES" = 1024 ] && [ "$ENDURANCE" = 3000 ]; then
+    echo "== fresh CSV must equal $golden"
+    cmp "$golden" "$out/tournament.csv" \
+        || { echo "FAIL: tournament CSV differs from $golden"; diff "$golden" "$out/tournament.csv" || true; exit 1; }
+fi
 
 echo "== resume must be byte-identical"
 "$tmp/tournament" -lines "$LINES" -endurance "$ENDURANCE" -quiet \

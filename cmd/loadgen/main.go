@@ -3,13 +3,13 @@
 // batches and immediately issues the next when the previous completes,
 // so offered load tracks server capacity.
 //
-// Transports (-proto): json drives POST /v1/batch; binary drives the
-// binary batch protocol (memctld -binary-addr, or a memrouterd front),
-// one framed TCP connection per worker. With -window N (binary only)
-// each worker pipelines up to N batches in flight on its connection
-// instead of waiting out a round trip per batch — the client-side half
-// of the protocol's in-order pipelining contract. Health checks and
-// metrics always go over HTTP — the binary listener is data-plane only.
+// Data goes over the binary batch protocol (-binary-addr: a memctld
+// binary listener or a memrouterd front), one framed TCP connection
+// per worker. With -window N each worker pipelines up to N batches in
+// flight on its connection instead of waiting out a round trip per
+// batch — the client-side half of the protocol's in-order pipelining
+// contract; -window 1 is the lockstep closed loop. Health checks and
+// metrics go over the HTTP control plane (-addr).
 //
 // Streams (-pattern):
 //
@@ -32,10 +32,9 @@
 //
 // Usage:
 //
-//	loadgen -addr http://127.0.0.1:8100 -workers 8 -duration 5s
+//	loadgen -addr http://127.0.0.1:8100 -binary-addr 127.0.0.1:8101 -workers 8 -duration 5s
 //	loadgen -pattern attack -duration 2s
-//	loadgen -proto binary -binary-addr 127.0.0.1:8101 -duration 5s
-//	loadgen -proto binary -window 16 -duration 5s    # pipelined frames
+//	loadgen -window 16 -duration 5s    # pipelined frames
 package main
 
 import (
@@ -52,13 +51,12 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "http://127.0.0.1:8100", "memctld base URL (control plane, and the json data plane)")
-	proto := flag.String("proto", "json", "data-plane transport: json|binary")
-	binAddr := flag.String("binary-addr", "127.0.0.1:8101", "memctld binary listener host:port (-proto binary)")
-	window := flag.Int("window", 1, "in-flight batches per binary worker (1 = lockstep closed loop)")
+	addr := flag.String("addr", "http://127.0.0.1:8100", "control-plane base URL (/healthz, /metrics)")
+	binAddr := flag.String("binary-addr", "127.0.0.1:8101", "binary data-plane host:port (memctld or memrouterd)")
+	window := flag.Int("window", 1, "in-flight batch frames per worker (1 = lockstep closed loop)")
 	workers := flag.Int("workers", 8, "concurrent closed-loop workers")
 	duration := flag.Duration("duration", 5*time.Second, "run length")
-	batch := flag.Int("batch", 256, "lines per /v1/batch request")
+	batch := flag.Int("batch", 256, "ops per batch frame")
 	pattern := flag.String("pattern", "uniform", "uniform|hotspot|attack|escalate")
 	readShare := flag.Float64("reads", 0.0, "fraction of ops issued as reads")
 	zipfS := flag.Float64("zipf", 1.2, "Zipf skew for -pattern hotspot")
@@ -66,14 +64,8 @@ func main() {
 	seed := flag.Uint64("seed", 1, "address-stream seed")
 	flag.Parse()
 
-	if *proto != "json" && *proto != "binary" {
-		fatal(fmt.Errorf("unknown proto %q (json|binary)", *proto))
-	}
 	if *window < 1 {
 		fatal(fmt.Errorf("-window must be at least 1"))
-	}
-	if *window > 1 && *proto != "binary" {
-		fatal(fmt.Errorf("-window needs -proto binary (pipelining is a wire-protocol contract)"))
 	}
 	client := memserver.NewClient(*addr)
 	if err := client.Healthz(); err != nil {
@@ -106,8 +98,7 @@ func main() {
 		go func(w int) {
 			defer wg.Done()
 			results[w] = runWorker(workerConfig{
-				id: w, addr: *addr, proto: *proto, binAddr: *binAddr,
-				window: *window, lines: lines, batch: *batch,
+				id: w, binAddr: *binAddr, window: *window, lines: lines, batch: *batch,
 				pattern: *pattern, readShare: *readShare,
 				zipfS: *zipfS, ramp: *ramp, seed: *seed + uint64(w)*7919,
 			}, deadline)
@@ -125,8 +116,8 @@ func main() {
 		total.latencies = append(total.latencies, r.latencies...)
 	}
 	opsPerSec := float64(total.ops) / elapsed.Seconds()
-	fmt.Printf("loadgen: pattern=%s proto=%s workers=%d batch=%d window=%d duration=%v\n",
-		*pattern, *proto, *workers, *batch, *window, elapsed.Round(time.Millisecond))
+	fmt.Printf("loadgen: pattern=%s workers=%d batch=%d window=%d duration=%v\n",
+		*pattern, *workers, *batch, *window, elapsed.Round(time.Millisecond))
 	fmt.Printf("sustained: %.0f line-ops/s (%d ops in %d batches, %d rejected by backpressure)\n",
 		opsPerSec, total.ops, total.batches, total.rejected)
 	printLatency(total.latencies)
@@ -194,8 +185,6 @@ func (w *escalationWatcher) wait() (time.Duration, float64, bool) {
 
 type workerConfig struct {
 	id        int
-	addr      string
-	proto     string
 	binAddr   string
 	window    int
 	lines     uint64
@@ -205,11 +194,6 @@ type workerConfig struct {
 	zipfS     float64
 	ramp      uint64
 	seed      uint64
-}
-
-// batcher is the data-plane half either transport client satisfies.
-type batcher interface {
-	Batch(ops []memserver.BatchOp) (*memserver.BatchResponse, error)
 }
 
 type workerResult struct {
@@ -270,66 +254,14 @@ func fillBatch(ops []memserver.BatchOp, next func() uint64, content uint8, readS
 	}
 }
 
-// runWorker is one closed loop: build a batch from the address stream,
-// send it, record wall latency, repeat until the deadline. Each worker
-// owns its transport — an HTTP connection for json, a framed TCP
-// connection for binary.
-func runWorker(cfg workerConfig, deadline time.Time) workerResult {
-	if cfg.proto == "binary" && cfg.window > 1 {
-		return runPipelinedWorker(cfg, deadline)
-	}
-	var client batcher
-	if cfg.proto == "binary" {
-		bc, err := memserver.DialBinary(cfg.binAddr)
-		if err != nil {
-			fatal(fmt.Errorf("worker %d: %w", cfg.id, err))
-		}
-		defer bc.Close()
-		client = bc
-	} else {
-		client = memserver.NewClient(cfg.addr)
-	}
-	rng := stats.NewRNG(cfg.seed)
-	next, content := addrStream(cfg, rng)
-
-	var res workerResult
-	ops := make([]memserver.BatchOp, cfg.batch)
-	//rbsglint:allow simdeterminism -- closed-loop deadline check against real time; the benchmark runs for a wall-clock duration
-	for time.Now().Before(deadline) {
-		fillBatch(ops, next, content, cfg.readShare, rng)
-		//rbsglint:allow simdeterminism -- batch wall latency is the measured quantity (p50/p90/p99 report)
-		t0 := time.Now()
-		resp, err := client.Batch(ops)
-		//rbsglint:allow simdeterminism -- batch wall latency is the measured quantity (p50/p90/p99 report)
-		lat := time.Since(t0)
-		if be, ok := err.(*memserver.BackpressureError); ok {
-			if be.Resp != nil {
-				res.ops += uint64(be.Resp.Applied)
-				res.rejected += uint64(be.Resp.Rejected)
-			} else {
-				res.rejected += uint64(len(ops))
-			}
-			res.batches++
-			time.Sleep(be.RetryAfter)
-			continue
-		}
-		if err != nil {
-			fatal(fmt.Errorf("worker %d: %w", cfg.id, err))
-		}
-		res.ops += uint64(resp.Applied)
-		res.batches++
-		res.latencies = append(res.latencies, float64(lat.Microseconds()))
-	}
-	return res
-}
-
-// runPipelinedWorker keeps up to cfg.window batches in flight on one
-// binary connection: send until the window is full, then complete the
-// oldest before sending the next. Responses arrive in send order (the
+// runWorker is one closed loop on its own binary connection: it keeps
+// up to cfg.window batches in flight, sending until the window is full
+// and then completing the oldest before sending the next (window 1 is
+// lockstep: send, wait, repeat). Responses arrive in send order (the
 // wire contract), so a FIFO of send timestamps is the only bookkeeping.
 // Reported batch latency therefore includes time queued behind the
 // window — the client-visible latency of a pipelined deployment.
-func runPipelinedWorker(cfg workerConfig, deadline time.Time) workerResult {
+func runWorker(cfg workerConfig, deadline time.Time) workerResult {
 	bc, err := memserver.DialBinary(cfg.binAddr)
 	if err != nil {
 		fatal(fmt.Errorf("worker %d: %w", cfg.id, err))
@@ -346,7 +278,9 @@ func runPipelinedWorker(cfg workerConfig, deadline time.Time) workerResult {
 		err := bc.RecvBatch(&resp)
 		//rbsglint:allow simdeterminism -- batch wall latency is the measured quantity (p50/p90/p99 report)
 		lat := time.Since(t0s[0])
-		t0s = t0s[1:]
+		// Shift in place: the FIFO keeps its window-sized backing array
+		// instead of reallocating as its head advances.
+		t0s = t0s[:copy(t0s, t0s[1:])]
 		res.batches++
 		if be, ok := err.(*memserver.BackpressureError); ok {
 			if be.Resp != nil {

@@ -1,23 +1,22 @@
 // Command memctld runs the memory-controller daemon: a sharded,
 // wear-leveled PCM memory (one single-writer actor per bank, the
 // paper's "managed in the memory controller, each bank separately")
-// behind an HTTP API.
+// behind two listeners.
 //
-// Endpoints: POST /v1/write, /v1/read, /v1/batch; GET /healthz,
-// /metrics (Prometheus text). Full queues answer 429 + Retry-After.
-// SIGINT/SIGTERM drains gracefully: the listeners stop, queued
-// requests finish, final per-bank telemetry is printed.
-//
-// With -binary-addr set, the daemon additionally serves the binary
-// batch protocol (length-prefixed frames, see internal/memserver
-// wire.go) on a second TCP listener — the hot data path without JSON
-// framing. The control plane (/healthz, /metrics) stays HTTP-only.
+// The data plane is the binary batch protocol (length-prefixed frames,
+// see internal/memserver wire.go) on -binary-addr; full bank queues
+// answer with a Nack frame. The control plane is HTTP on -addr:
+// GET /healthz and GET /metrics (Prometheus text). SIGINT/SIGTERM
+// drains gracefully: the listeners stop, queued frames finish, final
+// per-bank telemetry is printed. The signal handler is installed
+// before either address file is written, so a SIGTERM sent as soon as
+// the daemon looks ready still drains.
 //
 // Usage:
 //
-//	memctld -addr 127.0.0.1:8100 -banks 8 -lines $((1<<20))
-//	memctld -addr 127.0.0.1:0 -addr-file /tmp/addr   # scripted runs
-//	memctld -binary-addr 127.0.0.1:8101              # binary data plane
+//	memctld -addr 127.0.0.1:8100 -binary-addr 127.0.0.1:8101 -banks 8 -lines $((1<<20))
+//	memctld -addr 127.0.0.1:0 -addr-file /tmp/addr \
+//	    -binary-addr 127.0.0.1:0 -binary-addr-file /tmp/bin   # scripted runs
 package main
 
 import (
@@ -38,9 +37,9 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8100", "listen address (port 0 picks a free port)")
-	addrFile := flag.String("addr-file", "", "write the bound address to this file (for scripts)")
-	binAddr := flag.String("binary-addr", "", "serve the binary batch protocol on this address (empty = JSON only)")
+	addr := flag.String("addr", "127.0.0.1:8100", "control-plane listen address (port 0 picks a free port)")
+	addrFile := flag.String("addr-file", "", "write the bound control address to this file (for scripts)")
+	binAddr := flag.String("binary-addr", "127.0.0.1:8101", "binary data-plane listen address")
 	binAddrFile := flag.String("binary-addr-file", "", "write the bound binary address to this file (for scripts)")
 	banks := flag.Int("banks", 8, "number of independently wear-leveled banks")
 	lines := flag.Uint64("lines", 1<<20, "total logical lines (lines/banks must be a power of two)")
@@ -63,6 +62,11 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (default off; keep it loopback)")
 	flag.Parse()
+
+	// Before anything can look ready: a SIGTERM that arrives once the
+	// address files exist must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	srv, err := memserver.New(memserver.Config{
 		Banks: *banks, Lines: *lines, Scheme: *scheme,
@@ -90,11 +94,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	bound := ln.Addr().String()
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(bound), 0o644); err != nil {
-			fatal(err)
-		}
+	bln, err := net.Listen("tcp", *binAddr)
+	if err != nil {
+		fatal(fmt.Errorf("binary listen: %w", err))
 	}
 
 	// The profiler gets its own listener, never the service mux: the
@@ -114,37 +116,26 @@ func main() {
 		}()
 	}
 
+	// The address files are the readiness signal (waitready), so they
+	// are written last, once every listener is bound.
+	bound := ln.Addr().String()
+	writeAddr(*addrFile, bound)
+	writeAddr(*binAddrFile, bln.Addr().String())
+
 	srv.Start()
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	errc := make(chan error, 1)
+	errc := make(chan error, 2)
 	go func() { errc <- httpSrv.Serve(ln) }()
-
-	binary := false
-	if *binAddr != "" {
-		bln, err := net.Listen("tcp", *binAddr)
-		if err != nil {
-			fatal(fmt.Errorf("binary listen: %w", err))
+	go func() {
+		if err := srv.ServeBinary(bln); err != nil {
+			errc <- fmt.Errorf("binary serve: %w", err)
 		}
-		if *binAddrFile != "" {
-			if err := os.WriteFile(*binAddrFile, []byte(bln.Addr().String()), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "memctld: binary protocol on %s\n", bln.Addr())
-		go func() {
-			if err := srv.ServeBinary(bln); err != nil {
-				errc <- fmt.Errorf("binary serve: %w", err)
-			}
-		}()
-		binary = true
-	}
+	}()
 
 	cfg := srv.Config()
-	fmt.Fprintf(os.Stderr, "memctld: listening on %s — %d banks × %d lines, scheme %s (regions %d, interval %d)\n",
-		bound, cfg.Banks, cfg.Lines/uint64(cfg.Banks), cfg.Scheme, cfg.Regions, cfg.Interval)
+	fmt.Fprintf(os.Stderr, "memctld: control on %s, binary on %s — %d banks × %d lines, scheme %s (regions %d, interval %d)\n",
+		bound, bln.Addr(), cfg.Banks, cfg.Lines/uint64(cfg.Banks), cfg.Scheme, cfg.Regions, cfg.Interval)
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "memctld: %v — draining\n", sig)
@@ -152,24 +143,32 @@ func main() {
 		fatal(err)
 	}
 
-	// Drain order: stop both listeners first (in-flight requests and
-	// frames finish against still-running actors), then close the bank
-	// queues and wait them out.
+	// Drain order: stop both listeners first (in-flight frames finish
+	// against still-running actors), then close the bank queues and
+	// wait them out.
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(ctx); err != nil {
 		fatal(fmt.Errorf("http shutdown: %w", err))
 	}
-	if binary {
-		if err := srv.ShutdownBinary(ctx); err != nil {
-			fatal(err)
-		}
+	if err := srv.ShutdownBinary(ctx); err != nil {
+		fatal(err)
 	}
 	if err := srv.Drain(ctx); err != nil {
 		fatal(err)
 	}
 	printSummary(srv)
 	fmt.Fprintln(os.Stderr, "memctld: drained cleanly")
+}
+
+// writeAddr records a bound address in file (no-op without a file).
+func writeAddr(file, addr string) {
+	if file == "" {
+		return
+	}
+	if err := os.WriteFile(file, []byte(addr), 0o644); err != nil {
+		fatal(err)
+	}
 }
 
 // printSummary reports the per-bank telemetry the batch tools compute

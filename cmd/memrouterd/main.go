@@ -1,5 +1,5 @@
-// Command memrouterd runs the shard router: a stateless binary-protocol
-// front for N memctld shards. Clients speak the same wire protocol they
+// Command memrouterd runs the shard router: a stateless front, speaking
+// the binary protocol, for N memctld shards. Clients speak the same wire protocol they
 // would speak to a single memctld; the router splits each batch across
 // the shards named by its bank-group map, pipelines the sub-batches
 // over pooled connections, and merges the responses back in op order.
@@ -11,7 +11,9 @@
 // SIGINT/SIGTERM drains gracefully: the client listener closes, every
 // in-flight frame finishes against still-running shards, then the pools
 // close. Deployment drain order is therefore router FIRST, shards after
-// — the router needs live shards to finish its frames.
+// — the router needs live shards to finish its frames. The signal
+// handler is installed before either address file is written, so a
+// SIGTERM sent as soon as the router looks ready still drains.
 //
 // Usage:
 //
@@ -54,6 +56,11 @@ func main() {
 	healthEvery := flag.Duration("health-every", 2*time.Second, "shard health-probe period")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-drain deadline")
 	flag.Parse()
+
+	// Before anything can look ready: a SIGTERM that arrives once the
+	// address files exist must drain, not kill.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 
 	if *shards == "" {
 		fatal(fmt.Errorf("-shards is required"))
@@ -114,8 +121,6 @@ func main() {
 	fmt.Fprintf(os.Stderr, "memrouterd: control on %s, binary on %s — %d lines over %d shards (%d groups)\n",
 		ln.Addr(), bln.Addr(), m.Lines(), m.Shards(), m.Groups())
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "memrouterd: %v — draining\n", sig)

@@ -1,7 +1,7 @@
 // Package hotpathalloc enforces the PR 4 hot-path allocation contract:
 // functions annotated //rbsglint:hotpath (the memserver actor loop, the
-// pooled /v1/batch encode/decode path, the exactsim sweep kernels, the
-// seclevel adaptive apply path) and everything they reach through
+// frame server's decode/dispatch/encode path, the exactsim sweep
+// kernels, the seclevel adaptive apply path) and everything they reach through
 // static in-module calls must not allocate per operation.
 //
 // The analyzer computes an AllocProfile fact for every package-level

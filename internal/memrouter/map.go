@@ -1,6 +1,6 @@
 // Package memrouter is the distributed front of memctld: a stateless
 // router that owns no banks and no scheme state, only a bank-group map
-// and connection pools, and fans binary-protocol batches out across N
+// and connection pools, and fans binary protocol batches out across N
 // memctld shard processes.
 //
 // The paper's controller manages each bank separately; memserver turned

@@ -9,7 +9,7 @@ import (
 )
 
 // Per-shard connection pools. Each pool owns a small, fixed set of
-// binary-protocol connections to one memctld shard; each connection
+// binary protocol connections to one memctld shard; each connection
 // runs a sender goroutine and a receiver goroutine sharing one
 // BinaryClient (whose send and receive halves are disjoint by
 // contract), with up to `window` frames in flight between them. That

@@ -12,7 +12,7 @@ import (
 
 // Config describes one router instance.
 type Config struct {
-	// Shards lists the shard binary-protocol addresses (host:port),
+	// Shards lists the shard binary protocol addresses (host:port),
 	// indexed by shard number. Required.
 	Shards []string
 	// ShardControl lists the shards' HTTP control planes (for health
@@ -56,7 +56,7 @@ func (c *Config) normalize() error {
 	return nil
 }
 
-// Router fans binary-protocol traffic out over the shard set. It holds
+// Router fans binary protocol traffic out over the shard set. It holds
 // no wear-leveling state — the map and the pools are the whole thing —
 // so routers scale horizontally in front of a fixed shard tier.
 type Router struct {

@@ -70,10 +70,7 @@ func TestWireAdaptiveEscalatesUnderAttack(t *testing.T) {
 		}
 	}
 
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := drainedMetrics(t, s)
 	if m["memctld_level_raises_total"] == 0 {
 		t.Fatalf("hammer stream applied no escalation:\n%s", s.MetricsText())
 	}
@@ -106,10 +103,7 @@ func TestWireAdaptiveStaysDownUnderBenign(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := drainedMetrics(t, s)
 	if m["memctld_level_raises_total"] != 0 {
 		t.Fatalf("benign traffic applied %v escalations:\n%s",
 			m["memctld_level_raises_total"], s.MetricsText())
@@ -147,7 +141,9 @@ func TestWireAdaptiveTimingSignalIntact(t *testing.T) {
 // anything, and the defender's first escalation must land within fewer
 // writes than the mapping recovery cost — the level (and with it the
 // keys the attacker is modeling) moves before the attacker can finish
-// learning them.
+// learning them. On this geometry both numbers are pinned: recovery
+// costs 3156 writes (align 316 + detect 2840) and the first raise lands
+// at write 772; either moving means the attack or the defense changed.
 func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	const (
 		lines    = 256
@@ -186,12 +182,13 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	cfg := adaptiveConfig()
 	cfg.Endurance = 1 << 20
 	s, c := startServer(t, cfg)
+	ctl := startControl(t, s)
 	wa := &attack.RTARBSG{
 		Target: c,
 		Lines:  lines, Regions: regions, Interval: interval,
 		Li: 17, SeqLen: 6,
 		MaxWrites: 4 * recovery,
-		Oracle:    wireOracle(c, 64),
+		Oracle:    wireOracle(ctl, 64),
 	}
 	wres, werr := wa.Run()
 	if wres.Failed {
@@ -203,7 +200,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	// flowing up to the recovery budget — the question under test is how
 	// many attack-shaped writes the defender needs, not how long this
 	// attacker variant persists before giving up.
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +212,7 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 		if _, err := c.Batch(ops); err != nil {
 			t.Fatal(err)
 		}
-		if m, err = c.Metrics(); err != nil {
+		if m, err = ctl.Metrics(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,6 +226,9 @@ func TestWireAdaptiveEscalatesBeforeRTARecovery(t *testing.T) {
 	if first >= recovery {
 		t.Fatalf("first escalation at write %d, after the attacker's %d-write mapping recovery",
 			first, recovery)
+	}
+	if recovery != 3156 || first != 772 {
+		t.Fatalf("recovery %d writes, first raise at write %d; want 3156 and 772", recovery, first)
 	}
 	t.Logf("baseline recovery %d writes (align %d + detect %d); adaptive first raise at write %d (attack err: %v)",
 		recovery, ba.AlignmentWrites, ba.DetectionWrites, first, werr)

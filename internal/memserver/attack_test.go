@@ -16,8 +16,8 @@ import (
 // the attack surface it exists to study.
 
 // TestWireTimingSignalSurvives checks the two ends of the side channel
-// byte-for-byte over a real HTTP round trip: an ALL-0 write costs the
-// RESET pulse, an ALL-1 write the SET pulse.
+// byte-for-byte over a real binary protocol round trip: an ALL-0 write
+// costs the RESET pulse, an ALL-1 write the SET pulse.
 func TestWireTimingSignalSurvives(t *testing.T) {
 	cfg := testConfig()
 	cfg.Scheme = SchemeNone // no remapping noise: pure device timing
@@ -56,45 +56,65 @@ func wireOracle(c *Client, every int) func() bool {
 	}
 }
 
-// TestWireRTARecoversSequence runs the paper's Remapping Timing Attack
-// from internal/attack, unmodified, against the HTTP API: the small-
-// scale RTA aligns, recovers the physical-neighbor sequence bit by bit
-// from serialized latencies, and wears out a line — proof the service
-// layer cannot silently flatten the channel.
-func TestWireRTARecoversSequence(t *testing.T) {
-	const (
-		lines     = 256
-		regions   = 8
-		interval  = 4
-		seed      = 5
-		endurance = 500
-	)
-	s, c := startServer(t, Config{
-		Banks: 1, Lines: lines, Scheme: SchemeRBSG,
-		Regions: regions, Interval: interval, Seed: seed,
-		Endurance: endurance, QueueDepth: 64, SnapshotEvery: 1,
-	})
+// rtaConfig is the single-bank RTA geometry of the wire-level attack
+// tests.
+func rtaConfig() Config {
+	return Config{
+		Banks: 1, Lines: 256, Scheme: SchemeRBSG,
+		Regions: 8, Interval: 4, Seed: 5,
+		Endurance: 500, QueueDepth: 64, SnapshotEvery: 1,
+	}
+}
 
+// runRTA drives the paper's RTA against target, with oracle polling
+// the server's own telemetry.
+func runRTA(t *testing.T, target attack.Target, oracle func() bool) (*attack.RTARBSG, attack.Result) {
+	t.Helper()
 	a := &attack.RTARBSG{
-		Target: c,
-		Lines:  lines, Regions: regions, Interval: interval,
+		Target: target,
+		Lines:  256, Regions: 8, Interval: 4,
 		Li:     17,
 		SeqLen: 6,
-		Oracle: wireOracle(c, 64),
+		Oracle: oracle,
 	}
 	res, err := a.Run()
 	if err != nil {
 		t.Fatalf("attack over the wire: %v", err)
 	}
+	return a, res
+}
+
+// checkWireRTACost pins the wire-level RTA's write cost at the 256-line
+// configuration: 3647 writes in all (align 316, detect 2840, wear 491).
+// The count is a pure function of the served latencies, so any drift
+// means a serving or attack change altered the side channel.
+func checkWireRTACost(t *testing.T, via string, a *attack.RTARBSG, res attack.Result) {
+	t.Helper()
+	if res.Writes != 3647 || a.AlignmentWrites != 316 || a.DetectionWrites != 2840 || a.WearWrites != 491 {
+		t.Fatalf("%s RTA cost %d writes (align %d, detect %d, wear %d), want 3647 (align 316, detect 2840, wear 491)",
+			via, res.Writes, a.AlignmentWrites, a.DetectionWrites, a.WearWrites)
+	}
+}
+
+// TestWireRTARecoversSequence runs the paper's Remapping Timing Attack
+// from internal/attack, unmodified, over the binary listener: the
+// small-scale RTA aligns, recovers the physical-neighbor sequence bit
+// by bit from served latencies, and wears out a line — proof the
+// service layer cannot silently flatten the channel. The oracle
+// (failed-lines telemetry) polls the HTTP control plane, which stays
+// up alongside the binary listener — exactly the split memctld
+// deploys.
+func TestWireRTARecoversSequence(t *testing.T) {
+	s, c := startServer(t, rtaConfig())
+	ctl := startControl(t, s)
+	a, res := runRTA(t, c, wireOracle(ctl, 64))
 	if !res.Failed && res.Writes == 0 {
 		t.Fatal("attack issued no writes")
 	}
 
 	// Ground truth from scheme internals the attacker never saw. The
-	// randomizer is static, so reading it after the run is exact; the
-	// actor still owns the scheme, so go through its own goroutine by
-	// draining first (cleanup does) — here the static permutation is
-	// safe to read because nothing below ever mutates it.
+	// randomizer is static, so reading it after the run is exact while
+	// the actor still owns the scheme: nothing below mutates it.
 	scheme := s.Memory().Bank(0).Scheme().(*rbsg.Scheme)
 	want := groundTruthSequence(scheme, 17, 6)
 	got := a.Sequence()
@@ -109,7 +129,7 @@ func TestWireRTARecoversSequence(t *testing.T) {
 	}
 
 	// The device must actually have failed, and telemetry must say so.
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +155,11 @@ func groundTruthSequence(s *rbsg.Scheme, li uint64, k int) []uint64 {
 }
 
 // TestWireDetectorAlarms drives the two traffic shapes the acceptance
-// criteria name through the batch API: the detector must stay quiet
+// criteria name through batch frames: the detector must stay quiet
 // under uniform traffic and alarm under the repeated-address shape.
 func TestWireDetectorAlarms(t *testing.T) {
 	// Uniform: every region gets ≈1/R of the traffic, no alarm.
-	_, quiet := startServer(t, testConfig())
+	quietServer, quiet := startServer(t, testConfig())
 	rng := stats.NewRNG(11)
 	ops := make([]BatchOp, 256)
 	for round := 0; round < 40; round++ {
@@ -150,16 +170,13 @@ func TestWireDetectorAlarms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err := quiet.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := drainedMetrics(t, quietServer)
 	if m["memctld_detector_alarms_total"] != 0 {
 		t.Fatalf("uniform traffic raised %v alarms", m["memctld_detector_alarms_total"])
 	}
 
 	// Attack-shaped: hammer one line; its region sees ~100% share.
-	_, noisy := startServer(t, testConfig())
+	noisyServer, noisy := startServer(t, testConfig())
 	for i := range ops {
 		ops[i] = BatchOp{Line: 0, Data: 1}
 	}
@@ -168,10 +185,7 @@ func TestWireDetectorAlarms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	m, err = noisy.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m = drainedMetrics(t, noisyServer)
 	if m["memctld_detector_alarms_total"] == 0 {
 		t.Fatal("attack-shaped traffic raised no detector alarm")
 	}

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"securityrbsg/internal/pcm"
 )
 
 // The frame server: one implementation of the binary listener (wire.go)
@@ -26,11 +28,10 @@ import (
 // connection reach every bank actor (or shard) in arrival order; a
 // Nacked frame may be overtaken by a later frame that was accepted.
 //
-// Backpressure maps the JSON 429+Retry-After onto a Nack frame carrying
-// the retry-after seconds and the partial accounting; draining maps 503
-// onto a typed Err frame. Per-op simulated latencies cross this wire
-// exactly as they cross the JSON one, so the timing side channel is
-// transport-neutral.
+// Backpressure is a Nack frame carrying the retry-after seconds and
+// the partial accounting; draining is a typed Err frame. Per-op
+// simulated latencies cross this wire exactly as the banks emitted
+// them, so the timing side channel reaches the client intact.
 
 // FrameHandler is one daemon's half of a FrameServer: two phases over
 // the handler's own pooled per-frame state.
@@ -312,9 +313,9 @@ func readFull(c net.Conn, buf []byte) error {
 }
 
 // binaryFrames is memctld's FrameHandler: Start coalesces a frame's ops
-// per bank and enqueues them to the bank actors, Finish collects the
-// results and encodes the response. The per-frame state is a pooled
-// batchScratch, the same engine the JSON handler drives.
+// per bank and enqueues them to the bank actors (enqueueBatch), Finish
+// collects the results (collectBatch) and encodes the response. The
+// per-frame state is a pooled batchScratch.
 type binaryFrames struct{ s *Server }
 
 //rbsglint:hotpath
@@ -342,7 +343,94 @@ func (h binaryFrames) Finish(f any, dst []byte) []byte {
 	return dst
 }
 
-// ServeBinary accepts binary-protocol connections on ln until the
+// enqueueBatch coalesces the already-validated ops into one run per
+// touched bank (preserving frame order) and enqueues every run without
+// blocking; collectBatch then waits for the runs into sc.resp, whose
+// Ns/Data align with the ops (rejected ops report zero). enqueueBatch
+// reports whether a drain caused any of the rejections.
+//
+//rbsglint:hotpath
+func (s *Server) enqueueBatch(sc *batchScratch, ops []BatchOp) (draining bool) {
+	for i, o := range ops {
+		bank, local := s.mem.Route(o.Line)
+		run := &sc.runs[bank]
+		if len(run.idx) == 0 {
+			run.bank = bank
+			sc.order = append(sc.order, bank)
+		}
+		run.ops = append(run.ops, op{local: local, read: o.Read, content: pcm.Content(o.Data)})
+		run.idx = append(run.idx, i)
+	}
+
+	resp := &sc.resp
+	resp.Applied, resp.Rejected, resp.NsSum, resp.NsMax = 0, 0, 0, 0
+	resp.Ns = resizeZeroed(resp.Ns, len(ops))
+	resp.Data = resizeZeroed(resp.Data, len(ops))
+	for _, b := range sc.order {
+		run := &sc.runs[b]
+		reply, err := s.enqueue(run.bank, run.ops)
+		switch err {
+		case nil:
+			run.reply = reply
+		case errDraining:
+			draining = true
+			resp.Rejected += len(run.ops)
+		default:
+			resp.Rejected += len(run.ops)
+		}
+	}
+	return draining
+}
+
+// collectBatch is the second half of the batch engine (see
+// enqueueBatch).
+//
+//rbsglint:hotpath
+func (s *Server) collectBatch(sc *batchScratch) {
+	resp := &sc.resp
+	for _, b := range sc.order {
+		run := &sc.runs[b]
+		if run.reply == nil {
+			continue
+		}
+		rb := <-run.reply
+		putReply(run.reply)
+		for j, res := range rb.res {
+			i := run.idx[j]
+			resp.Ns[i] = res.ns
+			resp.Data[i] = uint8(res.content)
+			resp.NsSum += res.ns
+			if res.ns > resp.NsMax {
+				resp.NsMax = res.ns
+			}
+		}
+		resp.Applied += len(rb.res)
+		putResBuf(rb)
+	}
+}
+
+// resizeZeroed returns s with length n and every element zeroed
+// (rejected batch ops must report zero, not a previous frame's data).
+func resizeZeroed[T uint8 | uint64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// bankRun is one bank's slice of a batch plus where its results land.
+// Runs are embedded in the pooled batch scratch; the ops/idx backing
+// arrays are reused across frames.
+type bankRun struct {
+	bank  int
+	ops   []op
+	idx   []int
+	reply chan *resBuf
+}
+
+// ServeBinary accepts binary protocol connections on ln until the
 // listener closes (ShutdownBinary closes it, as does memctld on
 // SIGTERM). It returns nil on a clean close.
 func (s *Server) ServeBinary(ln net.Listener) error { return s.bin.Serve(ln) }

@@ -14,8 +14,8 @@ import (
 // match exactly — the thin mode changes response encoding, never what
 // the banks do.
 func TestBinaryReadBatchDifferential(t *testing.T) {
-	_, thin, _ := startBinaryServer(t, testConfig())
-	_, full, _ := startBinaryServer(t, testConfig())
+	_, thin := startServer(t, testConfig())
+	_, full := startServer(t, testConfig())
 
 	rng := stats.NewRNG(11)
 	writes := make([]BatchOp, 200)
@@ -63,7 +63,7 @@ func TestBinaryReadBatchDifferential(t *testing.T) {
 // TestBinaryReadBatchCountsMetric: reads served through ReadReq frames
 // show up in both binary_line_ops_total and the read-mode counter.
 func TestBinaryReadBatchCountsMetric(t *testing.T) {
-	s, c, _ := startBinaryServer(t, testConfig())
+	s, c := startServer(t, testConfig())
 	if _, err := c.ReadBatch([]uint64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestBinaryReadBatchCountsMetric(t *testing.T) {
 // so any reorder or drop shows up as wrong data, and the final state
 // must match what the same ops produce in lockstep on a twin server.
 func TestBinaryPipelinedInOrder(t *testing.T) {
-	_, pc, _ := startBinaryServer(t, testConfig())
-	_, lc, _ := startBinaryServer(t, testConfig())
+	_, pc := startServer(t, testConfig())
+	_, lc := startServer(t, testConfig())
 
 	const window = 16
 	batch := func(i int) []BatchOp {
@@ -141,7 +141,7 @@ func TestBinaryPipelinedInOrder(t *testing.T) {
 // in order too, and a sender goroutine may run concurrently with a
 // receiver goroutine on one client (disjoint buffer halves).
 func TestBinaryPipelinedReadBatches(t *testing.T) {
-	_, c, _ := startBinaryServer(t, testConfig())
+	_, c := startServer(t, testConfig())
 	const rounds = 64
 	errs := make(chan error, 1)
 	go func() {

@@ -10,10 +10,10 @@ import (
 )
 
 // BinaryClient speaks the binary wire protocol (wire.go) over one TCP
-// connection. Like the HTTP Client, its Write and Read methods satisfy
-// attack.Target — logical address in, simulated latency out — so every
-// attacker in internal/attack runs unmodified over the binary
-// transport; that is what the binary-transport RTA regression drives.
+// connection. Its Write and Read methods satisfy attack.Target —
+// logical address in, simulated latency out — so every attacker in
+// internal/attack runs unmodified against a live server; that is what
+// the wire-level RTA regression drives.
 //
 // The client supports two calling styles over the same connection:
 //
@@ -36,8 +36,7 @@ import (
 // per-connection sender/receiver pairs use. The client is not safe for
 // two concurrent senders or two concurrent receivers, and the lockstep
 // calls (which both send and receive) must not overlap pipelined use.
-// loadgen gives each worker its own client, mirroring how each worker
-// owns an HTTP connection in the JSON path.
+// loadgen gives each worker its own client.
 type BinaryClient struct {
 	conn net.Conn
 	// Version overrides the wire version byte on outgoing frames; zero
@@ -120,8 +119,8 @@ func (c *BinaryClient) SendReadBatch(lines []uint64) error {
 // RecvBatch reads the oldest outstanding batch response into resp,
 // reusing resp's slice capacity. On a Nack frame it returns a
 // *BackpressureError carrying the retry-after and the partial
-// accounting (decoded into resp), mirroring the JSON client's 429
-// handling; on an Err frame it returns the typed *WireError.
+// accounting (decoded into resp); on an Err frame it returns the typed
+// *WireError.
 //
 //rbsglint:hotpath
 func (c *BinaryClient) RecvBatch(resp *BatchResponse) error {

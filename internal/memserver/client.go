@@ -1,21 +1,14 @@
 package memserver
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
-
-	"securityrbsg/internal/pcm"
 )
 
-// Client speaks the memctld wire API. Its Write and Read methods match
-// attack.Target — logical address in, simulated latency out — so every
-// attacker in internal/attack can run unmodified against a live server,
-// which is exactly what the wire-level regression test does.
+// Client speaks the memctld HTTP control plane: health and metrics.
+// Reads and writes go through BinaryClient.
 type Client struct {
 	// BaseURL is the server root, e.g. "http://127.0.0.1:8100".
 	BaseURL string
@@ -35,95 +28,20 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// BackpressureError reports a 429 and how long the server asked us to
-// back off.
+// BackpressureError reports a Nack frame and how long the server asked
+// us to back off.
 type BackpressureError struct {
 	RetryAfter time.Duration
-	// Resp holds the partial batch accounting when the 429 answered a
-	// batch (nil for single ops).
+	// Resp holds the partial accounting when a batch frame was Nacked
+	// (nil otherwise).
 	Resp *BatchResponse
-	// ReadResp holds the partial accounting when a binary read-batch
-	// frame was Nacked (nil otherwise).
+	// ReadResp holds the partial accounting when a read-batch frame
+	// was Nacked (nil otherwise).
 	ReadResp *ReadBatchResponse
 }
 
 func (e *BackpressureError) Error() string {
 	return fmt.Sprintf("server backpressure, retry after %v", e.RetryAfter)
-}
-
-// post sends a JSON body and decodes a JSON reply into out.
-func (c *Client) post(path string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	resp, err := c.httpClient().Post(c.BaseURL+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusTooManyRequests {
-		be := &BackpressureError{RetryAfter: time.Second}
-		if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
-			be.RetryAfter = time.Duration(secs) * time.Second
-		}
-		if br, ok := out.(*BatchResponse); ok && json.NewDecoder(resp.Body).Decode(br) == nil {
-			be.Resp = br
-		}
-		return be
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		if json.NewDecoder(resp.Body).Decode(&e) == nil && e.Error != "" {
-			return fmt.Errorf("%s: %s", resp.Status, e.Error)
-		}
-		return fmt.Errorf("%s: %s", path, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// retryPost is post with bounded backpressure retries — single demand
-// ops must not be silently dropped (an attacker's write stream, like a
-// CPU's, just stalls until the controller accepts it).
-func (c *Client) retryPost(path string, in, out any) error {
-	for {
-		err := c.post(path, in, out)
-		be, ok := err.(*BackpressureError)
-		if !ok {
-			return err
-		}
-		time.Sleep(be.RetryAfter)
-	}
-}
-
-// Write issues one demand write and returns the simulated latency in
-// nanoseconds. It panics on transport errors: it exists to satisfy
-// attack.Target for tests and demos, where a broken server is fatal.
-func (c *Client) Write(la uint64, content pcm.Content) uint64 {
-	var resp WriteResponse
-	if err := c.retryPost("/v1/write", WriteRequest{Line: la, Data: uint8(content)}, &resp); err != nil {
-		panic(fmt.Errorf("memserver client: write LA %d: %w", la, err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
-	}
-	return resp.Ns
-}
-
-// Read issues one demand read; same contract as Write.
-func (c *Client) Read(la uint64) (pcm.Content, uint64) {
-	var resp ReadResponse
-	if err := c.retryPost("/v1/read", ReadRequest{Line: la}, &resp); err != nil {
-		panic(fmt.Errorf("memserver client: read LA %d: %w", la, err)) //rbsglint:allow panicpolicy -- documented attack.Target contract: a broken server is fatal in the tests/demos this client exists for
-	}
-	return pcm.Content(resp.Data), resp.Ns
-}
-
-// Batch submits ops to /v1/batch. On backpressure it returns a
-// *BackpressureError carrying the partial accounting.
-func (c *Client) Batch(ops []BatchOp) (*BatchResponse, error) {
-	var resp BatchResponse
-	if err := c.post("/v1/batch", BatchRequest{Ops: ops}, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }
 
 // Healthz returns nil while the server accepts traffic.

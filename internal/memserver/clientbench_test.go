@@ -17,7 +17,7 @@ import (
 // rate. The bench gate asserts pipelined > lockstep: if the windowed
 // client ever degrades to one-frame-at-a-time, the gate sees it.
 
-// startBenchBinaryServer is startBinaryServer for benchmarks (the test
+// startBenchBinaryServer is startServer for benchmarks (the test
 // helper wants *testing.T).
 func startBenchBinaryServer(b *testing.B, cfg Config) string {
 	b.Helper()

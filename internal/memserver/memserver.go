@@ -1,6 +1,7 @@
 // Package memserver turns the batch simulator into a long-running
 // memory-controller service: a membank.Memory sharded across per-bank
-// single-writer actors behind a stdlib net/http API.
+// single-writer actors behind the binary frame server, with a stdlib
+// net/http control plane (/healthz, /metrics).
 //
 // The paper deploys Security RBSG "in the memory controller, managing
 // each bank separately" (Section IV-A); memserver is that controller as
@@ -11,11 +12,11 @@
 // construction: no request ever touches, or observes the timing of, a
 // bank other than the one it addresses.
 //
-// Requests enter through bounded per-bank queues. A full queue is
-// explicit backpressure (HTTP 429 + Retry-After), never an unbounded
-// goroutine pileup. Batches are coalesced per bank: one queue entry per
-// touched bank, preserving per-bank op order, with banks executing in
-// parallel.
+// Frames enter through bounded per-bank queues. A full queue is
+// explicit backpressure (a Nack frame carrying retry-after), never an
+// unbounded goroutine pileup. Batches are coalesced per bank: one queue
+// entry per touched bank, preserving per-bank op order, with banks
+// executing in parallel.
 //
 // Telemetry the batch tools compute only post-hoc is published live:
 // each actor periodically (and at drain) publishes an immutable
@@ -138,12 +139,10 @@ type Server struct {
 	draining  atomic.Bool
 	started   atomic.Bool
 
-	// The binary listener (binary.go) and the per-protocol serving
-	// counters /metrics splits by transport.
-	bin         *FrameServer
-	binLineOps  atomic.Uint64 // line ops applied via the binary protocol
-	binReadOps  atomic.Uint64 // of those, reads served through streaming read-batch frames
-	jsonLineOps atomic.Uint64 // line ops applied via the JSON HTTP API
+	// The frame server (binary.go) and its serving counters.
+	bin        *FrameServer
+	binLineOps atomic.Uint64 // line ops applied via the binary protocol
+	binReadOps atomic.Uint64 // of those, reads served through streaming read-batch frames
 }
 
 // New builds a server (actors not yet running; call Start).
@@ -255,10 +254,11 @@ func (s *Server) Start() {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Drain stops accepting requests, lets every queued request finish, and
-// waits for all actors to exit (or ctx to expire). The HTTP listener
-// must already be shut down: Drain closes the bank queues, and a
-// concurrent submit on a closed queue would be rejected only by the
-// draining flag, which an in-flight handler may have checked earlier.
+// waits for all actors to exit (or ctx to expire). The frame server
+// must already be shut down (ShutdownBinary): Drain closes the bank
+// queues, and a concurrent enqueue on a closed queue would be rejected
+// only by the draining flag, which an in-flight frame may have checked
+// earlier.
 func (s *Server) Drain(ctx context.Context) error {
 	if s.draining.Swap(true) {
 		return nil
@@ -282,24 +282,13 @@ func (s *Server) Drain(ctx context.Context) error {
 // errBusy marks a rejected (queue-full) submission.
 var errBusy = fmt.Errorf("memserver: bank queue full")
 
-// submit enqueues ops for one bank and waits for the result. It never
-// blocks on a full queue: the caller gets errBusy to surface as 429.
-// The returned buffer is owed back to the pool: callers putResBuf it
-// once they have copied out what they need.
-func (s *Server) submit(bank int, ops []op) (*resBuf, error) {
-	p, err := s.enqueue(bank, ops)
-	if err != nil {
-		return nil, err
-	}
-	rb := <-p
-	putReply(p)
-	return rb, nil
-}
-
-// enqueue is the non-blocking half of submit, used by the batch path to
-// keep all touched banks in flight at once. The reply channel comes
-// from the pool; the receiver returns it (putReply) after the single
-// answer arrives.
+// enqueue hands ops for one bank to its actor without blocking: a full
+// queue returns errBusy, which the frame answers with a Nack. The batch
+// path enqueues every touched bank before collecting any, so all of
+// them are in flight at once. The reply channel comes from the pool;
+// the receiver returns it (putReply) after the single answer arrives,
+// and owes the answer's resBuf back to the pool (putResBuf) once it has
+// copied out what it needs.
 func (s *Server) enqueue(bank int, ops []op) (chan *resBuf, error) {
 	if s.draining.Load() {
 		return nil, errDraining

@@ -42,14 +42,12 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 	}
 	gauge("draining", "1 while the server drains, else 0.", draining)
 
-	// Per-protocol serving counters: the binary listener's frame and
-	// reject totals, and the line ops applied through each transport
-	// (their sum tracks demand_writes_total + demand_reads_total).
+	// Frame-server counters: frame and reject totals, and the line ops
+	// applied (tracking demand_writes_total + demand_reads_total).
 	counter("binary_frames_total", "Frames processed on the binary listener.", s.bin.Frames())
 	counter("binary_reject_total", "Binary frames rejected before execution (malformed, version-skewed, oversized, bad op, or draining).", s.bin.Rejects())
 	counter("binary_line_ops_total", "Line ops applied via the binary protocol.", s.binLineOps.Load())
 	counter("binary_read_batch_ops_total", "Reads served through streaming read-batch frames (no per-op ns echo).", s.binReadOps.Load())
-	counter("json_line_ops_total", "Line ops applied via the JSON HTTP API.", s.jsonLineOps.Load())
 
 	type metric struct {
 		name, help, kind string
@@ -98,7 +96,7 @@ func (s *Server) renderMetrics(b *strings.Builder) {
 			func(a *actor, s *BankSnapshot) uint64 { return s.WearP99 }},
 		{"queue_depth", "Requests currently queued for the bank's actor.", "gauge",
 			func(a *actor, s *BankSnapshot) uint64 { return uint64(len(a.ch)) }},
-		{"queue_rejected_total", "Submissions rejected with backpressure (429).", "counter",
+		{"queue_rejected_total", "Submissions rejected with backpressure (Nack).", "counter",
 			func(a *actor, s *BankSnapshot) uint64 { return a.rejected.Load() }},
 	}
 	for _, m := range metrics {

@@ -1,21 +1,18 @@
 package memserver
 
-import (
-	"bytes"
-	"sync"
-)
+import "sync"
 
-// Serving-path buffer reuse. The batch hot path used to allocate per
-// request: op slices and result slices crossing the actor queues, a
-// reply channel per touched bank, a coalescing map, response arrays and
-// JSON encoder state. Under a sustained loadgen stream those churned
-// hundreds of megabytes per second of garbage; everything below is now
-// pooled and recycled under a strict ownership rule:
+// Serving-path buffer reuse. Op slices and result slices cross the
+// actor queues, every touched bank needs a reply channel, and every
+// frame needs coalescing runs and response arrays; allocated per frame,
+// those would churn hundreds of megabytes per second of garbage under a
+// sustained loadgen stream. Everything below is pooled and recycled
+// under a strict ownership rule:
 //
-//   - op slices are owned by the PRODUCER (the HTTP handler's scratch):
-//     actors read them but never free them, and the handler returns its
-//     scratch only after every submitted run has replied, so an actor
-//     can never observe a recycled op slice.
+//   - op slices are owned by the PRODUCER (the frame handler's
+//     scratch): actors read them but never free them, and the handler
+//     returns its scratch only after every enqueued run has replied, so
+//     an actor can never observe a recycled op slice.
 //   - result buffers (resBuf) are allocated by the ACTOR from the pool
 //     and freed by the CONSUMER once it has copied the latencies out.
 //   - reply channels are taken from the pool by enqueue and returned by
@@ -51,29 +48,14 @@ var replyPool = sync.Pool{New: func() any { return make(chan *resBuf, 1) }}
 func getReply() chan *resBuf  { return replyPool.Get().(chan *resBuf) }
 func putReply(c chan *resBuf) { replyPool.Put(c) }
 
-// opScratch is the per-request state of the single-op handlers: the op
-// array submitted to the bank queue and the decode buffer.
-type opScratch struct {
-	body bytes.Buffer
-	ops  [1]op
-	out  []byte
-}
-
-var opScratchPool = sync.Pool{New: func() any { return new(opScratch) }}
-
-// batchScratch is the per-request state of /v1/batch and of one binary
-// frame: decode buffer and request (Ops capacity reused by
-// json.Unmarshal; JSON only), the per-bank coalescing runs (indexed by
-// bank, `order` listing the banks touched this request in first-touch
-// order), the response with its aligned arrays, the encode buffer
-// (JSON only), and whether a binary frame was a ReadReq.
+// batchScratch is the per-frame state of memctld's frame handler: the
+// per-bank coalescing runs (indexed by bank, `order` listing the banks
+// touched this frame in first-touch order), the response with its
+// aligned arrays, and whether the frame was a ReadReq.
 type batchScratch struct {
-	body  bytes.Buffer
-	req   BatchRequest
 	runs  []bankRun
 	order []int
 	resp  BatchResponse
-	out   []byte
 	read  bool
 }
 
@@ -88,7 +70,7 @@ func getBatchScratch(banks int) *batchScratch {
 	return sc
 }
 
-// resetRuns clears the per-bank runs touched by the last batch so the
+// resetRuns clears the per-bank runs touched by the last frame so the
 // scratch can host another one.
 //
 //rbsglint:hotpath
@@ -102,12 +84,12 @@ func resetRuns(sc *batchScratch) {
 	sc.order = sc.order[:0]
 }
 
-// putBatchScratch resets the runs touched by this request and recycles
-// the scratch. Oversized one-off requests are dropped instead of pinning
+// putBatchScratch resets the runs touched by this frame and recycles
+// the scratch. Oversized one-off frames are dropped instead of pinning
 // megabytes in the pool.
 func putBatchScratch(sc *batchScratch) {
 	resetRuns(sc)
-	if sc.body.Cap() > 1<<20 || cap(sc.resp.Ns) > 1<<16 {
+	if cap(sc.resp.Ns) > 1<<16 {
 		return
 	}
 	batchScratchPool.Put(sc)

@@ -2,9 +2,9 @@ package memserver
 
 import (
 	"context"
-	"net/http"
+	"errors"
+	"net"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -22,25 +22,80 @@ func testConfig() Config {
 	}
 }
 
-// startServer builds, starts and registers cleanup for a server plus
-// its HTTP front end.
-func startServer(t *testing.T, cfg Config) (*Server, *Client) {
+// startServer builds and starts a server with a binary listener and
+// returns it with a connected client. Cleanup shuts the listener down
+// before draining the actors.
+func startServer(t *testing.T, cfg Config) (*Server, *BinaryClient) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Start()
-	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
-		ts.Close() // waits for in-flight handlers, then Drain is safe
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Drain(ctx); err != nil {
 			t.Errorf("drain: %v", err)
 		}
 	})
-	return s, NewClient(ts.URL)
+	return s, dialBinary(t, startBinaryListener(t, s))
+}
+
+// startBinaryListener attaches a binary protocol listener to s and
+// registers its shutdown (before any drain cleanup the caller has
+// already registered — t.Cleanup runs LIFO, and ShutdownBinary must
+// run while the actors still do).
+func startBinaryListener(t *testing.T, s *Server) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.ServeBinary(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.ShutdownBinary(ctx); err != nil {
+			t.Errorf("binary shutdown: %v", err)
+		}
+		if err := <-done; err != nil {
+			t.Errorf("serve binary: %v", err)
+		}
+	})
+	return ln.Addr().String()
+}
+
+func dialBinary(t *testing.T, addr string) *BinaryClient {
+	t.Helper()
+	c, err := DialBinary(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// startControl serves s's HTTP control plane and returns its client.
+func startControl(t *testing.T, s *Server) *Client {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return NewClient(ts.URL)
+}
+
+// drainedMetrics drains s and returns its final, exact /metrics totals
+// (the actors publish a last snapshot on exit). The caller must have
+// collected every answer it is waiting for.
+func drainedMetrics(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return ParseMetrics(s.MetricsText())
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -61,7 +116,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 }
 
 // TestBatchMatchesSequential drives two identically seeded servers,
-// one op at a time vs one big coalesced batch. Per-bank op order is
+// one single-op frame at a time vs one big coalesced batch frame. Per-bank op order is
 // identical, and every bank is deterministic given its op subsequence,
 // so per-op latencies and final telemetry must agree exactly — batch
 // coalescing must not change what the memory does.
@@ -77,7 +132,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	_, seqClient := startServer(t, testConfig())
+	seqServer, seqClient := startServer(t, testConfig())
 	seqNs := make([]uint64, n)
 	for i, o := range ops {
 		if o.Read {
@@ -87,7 +142,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	_, batchClient := startServer(t, testConfig())
+	batchServer, batchClient := startServer(t, testConfig())
 	resp, err := batchClient.Batch(ops)
 	if err != nil {
 		t.Fatal(err)
@@ -102,8 +157,8 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	seqM, _ := seqClient.Metrics()
-	batM, _ := batchClient.Metrics()
+	seqM := drainedMetrics(t, seqServer)
+	batM := drainedMetrics(t, batchServer)
 	for _, name := range []string{
 		"memctld_demand_writes_total", "memctld_demand_reads_total",
 		"memctld_set_writes_total", "memctld_reset_writes_total",
@@ -115,47 +170,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBackpressure429 fills a bank queue (actors deliberately not
-// started, so nothing dequeues) and checks the API answers 429 with
-// Retry-After instead of blocking.
-func TestBackpressure429(t *testing.T) {
-	cfg := testConfig()
-	cfg.QueueDepth = 2
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Stuff bank 0's queue to capacity by hand.
-	for i := 0; i < cfg.QueueDepth; i++ {
-		s.actors[0].ch <- bankReq{}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
-
-	// LA 0 routes to bank 0 → full queue → 429. Use Batch (which does
-	// not retry) to observe the rejection.
-	resp, err := c.Batch([]BatchOp{{Line: 0}})
-	be, ok := err.(*BackpressureError)
-	if !ok {
-		t.Fatalf("want BackpressureError, got resp=%+v err=%v", resp, err)
-	}
-	if be.RetryAfter <= 0 {
-		t.Fatalf("Retry-After not propagated: %+v", be)
-	}
-	if be.Resp == nil || be.Resp.Rejected != 1 || be.Resp.Applied != 0 {
-		t.Fatalf("partial accounting wrong: %+v", be.Resp)
-	}
-	// LA 1 routes to bank 1, whose queue is empty — but its actor is
-	// not running either, so only check the rejected counter stayed put.
-	if got := s.actors[0].rejected.Load(); got != 1 {
-		t.Fatalf("bank 0 rejected counter = %d, want 1", got)
-	}
-}
-
 // TestMixedBankBatchPartialRejection: a batch spanning a full bank and
 // an empty bank applies the empty bank's share and reports the rest
-// rejected with 429.
+// rejected in a Nack frame: the applied op keeps its latency, the
+// rejected one reports zero.
 func TestMixedBankBatchPartialRejection(t *testing.T) {
 	cfg := testConfig()
 	cfg.QueueDepth = 1
@@ -167,10 +185,7 @@ func TestMixedBankBatchPartialRejection(t *testing.T) {
 	s.actors[0].ch <- bankReq{}
 	go s.actors[1].run()
 	defer close(s.actors[1].ch)
-
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
+	c := dialBinary(t, startBinaryListener(t, s))
 
 	// LA 0 → bank 0 (rejected), LA 1 → bank 1 (applied).
 	_, err = c.Batch([]BatchOp{{Line: 0, Data: 1}, {Line: 1, Data: 1}})
@@ -196,11 +211,10 @@ func TestHealthzAndDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Start()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	c := NewClient(ts.URL)
+	ctl := startControl(t, s)
+	c := dialBinary(t, startBinaryListener(t, s))
 
-	if err := c.Healthz(); err != nil {
+	if err := ctl.Healthz(); err != nil {
 		t.Fatal(err)
 	}
 	c.Write(5, pcm.Ones)
@@ -210,15 +224,17 @@ func TestHealthzAndDrain(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Healthz(); err == nil {
+	if err := ctl.Healthz(); err == nil {
 		t.Fatal("healthz must fail while drained")
 	}
 	// New traffic is refused, not queued.
-	if _, err := c.Batch([]BatchOp{{Line: 0}}); err == nil {
-		t.Fatal("batch must fail after drain")
+	_, err = c.Batch([]BatchOp{{Line: 0}})
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != WireErrDraining {
+		t.Fatalf("batch after drain: got %v, want WireError draining", err)
 	}
 	// Metrics stay up and reflect the final exact state.
-	m, err := c.Metrics()
+	m, err := ctl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +252,7 @@ func TestHealthzAndDrain(t *testing.T) {
 }
 
 func TestMetricsCounters(t *testing.T) {
-	_, c := startServer(t, testConfig())
+	s, c := startServer(t, testConfig())
 	for i := uint64(0); i < 40; i++ {
 		c.Write(i, pcm.Zeros)
 	}
@@ -246,10 +262,7 @@ func TestMetricsCounters(t *testing.T) {
 	for i := uint64(0); i < 10; i++ {
 		c.Read(i)
 	}
-	m, err := c.Metrics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := drainedMetrics(t, s)
 	checks := map[string]float64{
 		"memctld_demand_writes_total": 64,
 		"memctld_demand_reads_total":  10,
@@ -268,30 +281,6 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if m["memctld_wear_max"] == 0 {
 		t.Error("wear max still zero after 64 writes")
-	}
-}
-
-func TestBadRequests(t *testing.T) {
-	_, c := startServer(t, testConfig())
-	cases := []struct {
-		path, body string
-	}{
-		{"/v1/write", `{"l": 999999, "d": 0}`}, // out of range
-		{"/v1/write", `{"l": 1, "d": 9}`},      // bad content class
-		{"/v1/write", `not json`},
-		{"/v1/batch", `{"ops": []}`},
-		{"/v1/batch", `{"ops": [{"l": 999999}]}`},
-	}
-	for _, tc := range cases {
-		resp, err := http.Post(c.BaseURL+tc.path, "application/json",
-			strings.NewReader(tc.body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s %q: status %d, want 400", tc.path, tc.body, resp.StatusCode)
-		}
 	}
 }
 

@@ -5,7 +5,8 @@ import (
 	"fmt"
 )
 
-// The binary wire protocol: the hot serving path without JSON framing.
+// The binary wire protocol: memctld's and memrouterd's only data
+// plane (their HTTP listeners serve /healthz and /metrics alone).
 //
 // Every frame is length-prefixed and little-endian:
 //
@@ -54,11 +55,11 @@ import (
 // op is read: a frame whose count disagrees with its byte length is
 // rejected whole.
 //
-// The timing side channel crosses this wire exactly as it crosses the
-// JSON API: per-op simulated latencies travel in the response payload
-// uncompressed and unaggregated, so the remap-latency signal the
-// paper's RTA reads is serialization-independent (the binary attack
-// regression test pins this).
+// The timing side channel crosses this wire intact: per-op simulated
+// latencies travel in the response payload uncompressed and
+// unaggregated, so the remap-latency signal the paper's RTA reads is
+// exactly what the banks emitted (the wire attack regression tests pin
+// this).
 
 const (
 	// WireVersion is the protocol version this build speaks.
@@ -95,7 +96,7 @@ const (
 const (
 	FrameBatchReq  = 0x01 // client → server: a batch of ops
 	FrameBatchResp = 0x02 // server → client: per-op latencies + accounting
-	FrameNack      = 0x03 // server → client: backpressure (429 + Retry-After equivalent)
+	FrameNack      = 0x03 // server → client: backpressure (retry-after + partial accounting)
 	FrameErr       = 0x04 // server → client: typed error
 	FrameReadReq   = 0x05 // client → server: a batch of reads (streaming read-mostly mode)
 	FrameReadResp  = 0x06 // server → client: data bytes + accounting, no per-op ns echo
@@ -112,8 +113,8 @@ const (
 	WireErrEmpty     = 0x06 // batch carried zero ops
 )
 
-// NackRetryAfterSecs is the Retry-After a server's own Nack frames
-// carry (the JSON API's Retry-After header value).
+// NackRetryAfterSecs is the retry-after a server's own Nack frames
+// carry.
 const NackRetryAfterSecs = 1
 
 // wireErrName maps Err codes to stable names (client error listings).
@@ -146,6 +147,31 @@ func (e *WireError) Error() string {
 		}
 	}
 	return fmt.Sprintf("binary wire error %s: %s (%s)", name, e.Msg, known)
+}
+
+// BatchOp is one operation of a batch frame. The zero op is a write of
+// ALL-0; set Read for a read, Data for the content class (the
+// pcm.Content integers: 0 = ALL-0, 1 = ALL-1, 2 = MIXED).
+type BatchOp struct {
+	Line uint64
+	Read bool
+	Data uint8
+}
+
+// BatchResponse answers a batch frame. Ns and Data align with the ops;
+// rejected ops report zero latency. NsMax is the slowest op — the
+// latency a stalled demand request would have observed behind
+// remapping. Ops are coalesced into one queue entry per touched bank;
+// op order is preserved within each bank but banks execute
+// concurrently, and a batch is not atomic under backpressure: banks
+// whose queues are full reject their share while the rest applies.
+type BatchResponse struct {
+	Applied  int
+	Rejected int
+	NsSum    uint64
+	NsMax    uint64
+	Ns       []uint64
+	Data     []uint8
 }
 
 // AppendFrame wraps a finished body with its length prefix. The body

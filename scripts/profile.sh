@@ -26,17 +26,18 @@ trap cleanup EXIT
 
 go build -o "$tmp/memctld" ./cmd/memctld
 go build -o "$tmp/loadgen" ./cmd/loadgen
+go build -o "$tmp/waitready" ./cmd/waitready
 
 "$tmp/memctld" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
+    -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/binaddr" \
     -pprof 127.0.0.1:0 -banks 8 -lines $((1 << 20)) 2>"$tmp/server.log" &
 pid=$!
 
-for _ in $(seq 100); do
-    [ -s "$tmp/addr" ] && grep -q "pprof on" "$tmp/server.log" && break
-    sleep 0.1
-done
-[ -s "$tmp/addr" ] || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
+# memctld announces pprof before it writes its address files.
+"$tmp/waitready" -timeout 30s "$tmp/addr" "$tmp/binaddr" >/dev/null \
+    || { echo "FAIL: server never bound"; cat "$tmp/server.log"; exit 1; }
 addr="http://$(cat "$tmp/addr")"
+binaddr="$(cat "$tmp/binaddr")"
 ppurl=$(sed -n 's#.*pprof on \(http://[^/]*\)/.*#\1#p' "$tmp/server.log")
 [ -n "$ppurl" ] || { echo "FAIL: pprof listener not announced"; cat "$tmp/server.log"; exit 1; }
 echo "== memctld at $addr, pprof at $ppurl, profiling ${seconds}s of '$pattern' load"
@@ -48,7 +49,7 @@ fetch() {
 fetch "$ppurl/debug/pprof/profile?seconds=$seconds" "$out" &
 profpid=$!
 
-"$tmp/loadgen" -addr "$addr" -workers 8 -duration "${seconds}s" -pattern "$pattern" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" -workers 8 -duration "${seconds}s" -pattern "$pattern" \
     | tee "$tmp/loadgen.out"
 
 wait "$profpid" || { echo "FAIL: profile fetch failed"; exit 1; }

@@ -10,7 +10,8 @@
 # shard 0's — the router's shard-labeled metric passthrough proves
 # where the traffic landed). Finally drains the topology in the only
 # correct order: router first (its in-flight frames need live shards),
-# shards after.
+# shards after. Along the way, a second router sent SIGTERM the moment
+# waitready sees it ready must still drain cleanly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,11 +47,26 @@ done
 "$tmp/waitready" -timeout 30s "$tmp/s0.bin" "$tmp/s1.bin" "$tmp/s2.bin" \
     "$tmp/s0.ctl" "$tmp/s1.ctl" "$tmp/s2.ctl" >/dev/null
 
+shards="$(cat "$tmp/s0.bin"),$(cat "$tmp/s1.bin"),$(cat "$tmp/s2.bin")"
+shard_ctl="$(cat "$tmp/s0.ctl"),$(cat "$tmp/s1.ctl"),$(cat "$tmp/s2.ctl")"
+
+echo "== SIGTERM the moment a router looks ready (must still drain)"
+"$tmp/memrouterd" -addr 127.0.0.1:0 -addr-file "$tmp/fast.ctl" \
+    -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/fast.bin" \
+    -shards "$shards" -shard-control "$shard_ctl" \
+    -lines $((3 * shard_lines)) -group-map 0,1,2 2>"$tmp/fast.log" &
+fpid=$!
+pids+=("$fpid")
+"$tmp/waitready" -timeout 30s "$tmp/fast.ctl" "$tmp/fast.bin" >/dev/null
+kill -TERM "$fpid"
+wait "$fpid" || { echo "FAIL: memrouterd killed by an early SIGTERM"; cat "$tmp/fast.log"; exit 1; }
+grep -q "drained cleanly" "$tmp/fast.log" \
+    || { echo "FAIL: early SIGTERM did not drain the router"; cat "$tmp/fast.log"; exit 1; }
+
 echo "== booting the router"
 "$tmp/memrouterd" -addr 127.0.0.1:0 -addr-file "$tmp/r.ctl" \
     -binary-addr 127.0.0.1:0 -binary-addr-file "$tmp/r.bin" \
-    -shards "$(cat "$tmp/s0.bin"),$(cat "$tmp/s1.bin"),$(cat "$tmp/s2.bin")" \
-    -shard-control "$(cat "$tmp/s0.ctl"),$(cat "$tmp/s1.ctl"),$(cat "$tmp/s2.ctl")" \
+    -shards "$shards" -shard-control "$shard_ctl" \
     -lines $((3 * shard_lines)) -group-map 0,1,2 \
     -health-every 250ms 2>"$tmp/r.log" &
 rpid=$!
@@ -67,7 +83,7 @@ echo "== binary probe through the router: round trip and version skew"
 "$tmp/binprobe" -addr "$binaddr" -skew
 
 echo "== uniform stream through the router (detector must stay quiet)"
-"$tmp/loadgen" -addr "$addr" -proto binary -binary-addr "$binaddr" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" \
     -workers 4 -window 4 -duration 2s -pattern uniform | tee "$tmp/uniform.out"
 grep -q "detector alarms: 0 (run)" "$tmp/uniform.out" \
     || { echo "FAIL: uniform traffic through the router raised alarms"; exit 1; }
@@ -89,7 +105,7 @@ awk -v want=$((3 * shard_lines)) \
     || { echo "FAIL: aggregated memctld_lines != 3 shards' worth"; exit 1; }
 
 echo "== attack-shaped stream through the router (shard 0 must alarm)"
-"$tmp/loadgen" -addr "$addr" -proto binary -binary-addr "$binaddr" \
+"$tmp/loadgen" -addr "$addr" -binary-addr "$binaddr" \
     -workers 4 -window 4 -duration 2s -pattern attack | tee "$tmp/attack.out"
 grep -q "detector alarms: 0 (run)" "$tmp/attack.out" \
     && { echo "FAIL: attack stream through the router raised no alarm"; exit 1; }
